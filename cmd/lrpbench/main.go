@@ -21,10 +21,11 @@
 // -json replaces the text tables on stdout with the versioned JSON
 // suite (internal/results schema); -out FILE additionally saves that
 // JSON suite to FILE, whatever stdout carries. The check verb runs all
-// eight experiments plus the smp sweep, evaluates every paper-shape
-// assertion (ordering of systems, BSD's livelock collapse, NI-LRP's
-// flat overload curve, fairness bands, traffic separation, multi-core
-// scaling), and exits non-zero if any fail.
+// eight experiments plus the faults, smp and wan sweeps, evaluates every
+// paper-shape assertion (ordering of systems, BSD's livelock collapse,
+// NI-LRP's flat overload curve, fairness bands, traffic separation,
+// robustness under impairment, multi-core scaling), and exits non-zero
+// if any fail.
 //
 // The faults verb runs the internal/fault robustness curves — goodput,
 // p99 latency, and victim-CPU share for every architecture under each
@@ -91,6 +92,7 @@ func run() int {
 	flag.BoolVar(&doPlot, "plot", false, "render ASCII charts for the figures")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: lrpbench [-quick] [-seed N] [-v] [-plot] [-parallel N] [-json] [-out FILE] [-faultplan FILE] [-cpuprofile FILE] [-memprofile FILE] table1|fig3|mlfrr|fig4|table2|fig5|ablations|media|faults|smp|wan|all|check\n")
+		fmt.Fprintf(os.Stderr, "check runs all, faults, smp and wan, and exits 1 if any paper-shape assertion fails\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -169,11 +171,11 @@ func run() int {
 	case "all":
 		names = exp.Experiments
 	case "check":
-		// The canonical eight plus the standalone smp and wan sweeps:
-		// CheckSuite holds the scaling and internet-scale curves to their
-		// shapes whenever they are present, and check is where every
-		// assertion should run.
-		names = append(append([]string{}, exp.Experiments...), "smp", "wan")
+		// The canonical eight plus the standalone faults, smp and wan
+		// sweeps: CheckSuite holds the robustness, scaling and
+		// internet-scale curves to their shapes whenever they are
+		// present, and check is where every assertion should run.
+		names = append(append([]string{}, exp.Experiments...), "faults", "smp", "wan")
 		check = true
 	default:
 		names = []string{which}

@@ -20,9 +20,10 @@
 // creation, select statements, and imports of sync or sync/atomic, with
 // two escapes: lrp/internal/runner (the experiment sweep worker pool —
 // the one deliberately concurrent package) is allowlisted wholesale, and
-// the kernel may mark a `go` statement with `//lrp:coroutine` for its
-// strict-handoff process coroutines, which keep exactly one goroutine
-// runnable at a time and are therefore deterministic.
+// the kernel may mark a `go` statement with `//lrp:coroutine` for the
+// Spawn bridge's process goroutines, which hand a baton back and forth
+// with the scheduler so exactly one goroutine runs at a time and are
+// therefore deterministic.
 //
 // The wall-clock, global-rand, and map-iteration bans are also enforced
 // transitively: a helper outside the sim-core set that is reachable (via
@@ -79,8 +80,9 @@ var concurrencyAllowed = map[string]bool{
 }
 
 // coroutinePkg is the only package whose `go` statements may carry the
-// //lrp:coroutine waiver: the kernel's simulated processes are goroutines
-// driven by strict channel handoff (exactly one runnable at any instant).
+// //lrp:coroutine waiver: the kernel's Spawn bridge hosts process bodies
+// on goroutines driven by strict channel handoff (exactly one runnable
+// at any instant).
 const coroutinePkg = "lrp/internal/kernel"
 
 // bannedTime are the "time" package functions that read the wall clock or

@@ -7,15 +7,11 @@
 // yield — this analyzer moves that discovery to lint time.
 //
 // A "step body" is a function literal in StepFn position: passed to a
-// parameter of type kernel.StepFn (SpawnStep, SpawnStepCoro and their
-// wrappers), returned from a function whose result type is kernel.StepFn
-// (the step-factory idiom), or assigned to a StepFn variable or field.
-// Nested function literals inside a step body (timer callbacks and the
-// like) run in engine context under different rules and are not scanned.
-//
-// A literal whose opening line carries `//lrp:coroutine` is waived: it
-// marks a body written for goroutine hosting only (SpawnStepCoro), where
-// blocking calls are legal.
+// parameter of type kernel.StepFn (SpawnStep and its wrappers), returned
+// from a function whose result type is kernel.StepFn (the step-factory
+// idiom), or assigned to a StepFn variable or field. Nested function
+// literals inside a step body (timer callbacks and the like) run in
+// engine context under different rules and are not scanned.
 package stepfn
 
 import (
@@ -47,8 +43,8 @@ var blocking = map[string]string{
 }
 
 func run(pass *framework.Pass) error {
-	// The kernel owns the abstraction: SpawnStepCoro's driver loop and the
-	// request plumbing legitimately mix both calling conventions.
+	// The kernel owns the abstraction: the Spawn bridge and the request
+	// plumbing legitimately mix both calling conventions.
 	if pass.PkgPath == kernelPkg {
 		return nil
 	}
@@ -146,9 +142,6 @@ func collectReturns(pass *framework.Pass, sig *types.Signature, body *ast.BlockS
 
 // checkBody flags blocking Proc calls inside one step body.
 func checkBody(pass *framework.Pass, lit *ast.FuncLit) {
-	if pass.LineDirective(lit.Pos(), "lrp:coroutine") {
-		return // declared goroutine-mode: blocking is the convention
-	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if inner, ok := n.(*ast.FuncLit); ok && inner != lit {
 			return false // nested closures run in engine context
@@ -167,9 +160,9 @@ func checkBody(pass *framework.Pass, lit *ast.FuncLit) {
 		}
 		name := sel.Sel.Name
 		if req, bad := blocking[name]; bad {
-			pass.Reportf(call.Pos(), "step body calls the blocking Proc.%s: a stackless body must store the request with %s and return (//lrp:coroutine waives goroutine-mode bodies)", name, req)
+			pass.Reportf(call.Pos(), "step body calls the blocking Proc.%s: a stackless body must store the request with %s and return", name, req)
 		} else if name == "Block" {
-			pass.Reportf(call.Pos(), "step body calls Proc.Block: a step returns to the scheduler instead of blocking (//lrp:coroutine waives goroutine-mode bodies)")
+			pass.Reportf(call.Pos(), "step body calls Proc.Block: a step returns to the scheduler instead of blocking")
 		}
 		return true
 	})

@@ -9,8 +9,8 @@ import (
 
 // TestStacklessContract drives the stepfn checks over testdata posing as
 // an app package: blocking Proc calls are flagged in argument, factory
-// and assignment StepFn positions; Req* setters, //lrp:coroutine bodies,
-// nested engine-context closures and plain blocking wrappers pass.
+// and assignment StepFn positions; Req* setters, nested engine-context
+// closures and plain blocking wrappers pass.
 func TestStacklessContract(t *testing.T) {
 	analysistest.Run(t, stepfn.Analyzer, "testdata/stepbody", "lrp/internal/app")
 }

@@ -1,8 +1,8 @@
 // Package stepbody poses as "lrp/internal/app" in the stepfn analyzer's
 // tests, exercising the stackless contract against the real kernel types:
 // blocking Proc calls are flagged in every StepFn position (argument,
-// factory return, variable), Req* setters and goroutine-mode bodies pass,
-// and nested engine-context closures are left alone.
+// factory return, variable), Req* setters and plain Spawn-style functions
+// pass, and nested engine-context closures are left alone.
 package stepbody
 
 import "lrp/internal/kernel"
@@ -21,15 +21,6 @@ func argPosition(k *kernel.Kernel, wq *kernel.WaitQ) {
 	})
 }
 
-// coroPosition: SpawnStepCoro hosts the same machine on a goroutine, but
-// the body remains a StepFn and must still not block.
-func coroPosition(k *kernel.Kernel) {
-	k.SpawnStepCoro("bad-coro", 0, func(p *kernel.Proc) {
-		p.Delay(5) // want `step body calls the blocking Proc\.Delay`
-		p.ReqExit()
-	})
-}
-
 // factory: a literal returned from a StepFn-typed result is a step body.
 func factory(d int64) kernel.StepFn {
 	return func(p *kernel.Proc) {
@@ -45,15 +36,6 @@ func assigned() kernel.StepFn {
 		p.Block() // want `step body calls Proc\.Block`
 	}
 	return step
-}
-
-// waived carries the goroutine-mode waiver: blocking calls are the
-// convention there, so nothing is reported.
-func waived(k *kernel.Kernel) {
-	k.SpawnStepCoro("waived", 0, func(p *kernel.Proc) { //lrp:coroutine
-		p.Compute(10)
-		p.Exit()
-	})
 }
 
 // nested: closures inside a step body run in engine context (timers,

@@ -6,7 +6,7 @@
 // path actually executed:
 //
 //   - a kernel.StepFn body must store exactly one request via a Req*
-//     setter before returning (kernel.stepStackless panics otherwise), on
+//     setter before returning (kernel.runProcStep panics otherwise), on
 //     every path;
 //   - a step helper machine (`func(p *kernel.Proc, ..., fr *Op) bool`)
 //     must have a request pending on every `return false` (yield) path
@@ -103,9 +103,6 @@ func run(pass *framework.Pass) error {
 			an.analyze(fd.Body)
 		}
 		for _, lit := range stepfn.StepLiterals(pass, f) {
-			if pass.LineDirective(lit.Pos(), "lrp:coroutine") {
-				continue // goroutine-mode body: Block-driven, different rules
-			}
 			an := &analyzer{pass: pass, helpers: helpers, lits: lits, helper: false}
 			an.analyze(lit.Body)
 		}
@@ -916,7 +913,7 @@ func (an *analyzer) execExprStmt(s *ast.ExprStmt, sts states) states {
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Block" &&
 		stepfn.IsProc(an.pass.TypesInfo.TypeOf(sel.X)) {
-		// Goroutine-mode driver: Block consumes the pending request.
+		// Spawn-body driver: Block consumes the pending request.
 		return mapStates(sts, func(st state) state {
 			st.armed = aNone
 			return st
@@ -1143,7 +1140,7 @@ func (an *analyzer) checkStepReturn(pos token.Pos, st state) {
 		return
 	}
 	if st.armed&aNone != 0 {
-		an.reportf(pos, "step body may return with no pending request: kernel.stepStackless panics on an empty request; every path to return must arm exactly one Req* setter")
+		an.reportf(pos, "step body may return with no pending request: kernel.runProcStep panics on an empty request; every path to return must arm exactly one Req* setter")
 	}
 	an.checkMbufHeld(pos, st)
 }

@@ -24,10 +24,6 @@ type HTTPServer struct {
 	// PerRequestCompute models request parsing, filesystem lookup and
 	// response generation.
 	PerRequestCompute int64
-	// Coroutine hosts the accept loop and handler processes on goroutine
-	// coroutines instead of stepping them stacklessly (the fallback
-	// execution mode).
-	Coroutine bool
 
 	Served  metrics.Counter
 	Proc    *kernel.Proc
@@ -53,7 +49,7 @@ func (s *HTTPServer) Start() {
 		lis core.ListenOp
 		acc core.AcceptOp
 	)
-	s.Proc = spawnStep(s.Host.K, "httpd", 0, s.Coroutine, func(p *kernel.Proc) {
+	s.Proc = s.Host.K.SpawnStep("httpd", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:
@@ -83,7 +79,7 @@ func (s *HTTPServer) Start() {
 				acc = core.AcceptOp{}
 				n++
 				name := fmt.Sprintf("httpd-%d", n)
-				spawnStep(s.Host.K, name, 0, s.Coroutine, s.handleStep(cs))
+				s.Host.K.SpawnStep(name, 0, s.handleStep(cs))
 			}
 		}
 	})
@@ -154,9 +150,6 @@ type HTTPClient struct {
 	ServerAddr pkt.Addr
 	ServerPort uint16
 	Name       string
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Completed metrics.Counter
 	Failures  metrics.Counter
@@ -194,7 +187,7 @@ func (c *HTTPClient) Start() {
 		// user.
 		return p.ReqDelay(100 * sim.Millisecond)
 	}
-	c.Proc = spawnStep(c.Host.K, c.Name, 0, c.Coroutine, func(p *kernel.Proc) {
+	c.Proc = c.Host.K.SpawnStep(c.Name, 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case hcStart:

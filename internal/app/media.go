@@ -83,9 +83,6 @@ type MediaPlayer struct {
 	Interval int64
 	// PerFrameCompute models decode work.
 	PerFrameCompute int64
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Frames metrics.Counter
 	Jitter metrics.Histogram
@@ -103,7 +100,7 @@ func (m *MediaPlayer) Start() {
 		last sim.Time
 		recv core.RecvFromOp
 	)
-	m.Proc = spawnStep(m.Host.K, "media-player", 0, m.Coroutine, func(p *kernel.Proc) {
+	m.Proc = m.Host.K.SpawnStep("media-player", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:

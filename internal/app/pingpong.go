@@ -16,11 +16,8 @@ type PingPongServer struct {
 	Port uint16
 	// CPU is the simulated CPU the echo process is spawned on (multi-CPU
 	// hosts; 0 — the boot CPU — otherwise).
-	CPU int
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
-	Proc      *kernel.Proc
+	CPU  int
+	Proc *kernel.Proc
 }
 
 // Echo-server machine states.
@@ -39,7 +36,7 @@ func (s *PingPongServer) Start() {
 		recv core.RecvFromOp
 		send core.SendToOp
 	)
-	s.Proc = spawnStep(s.Host.KernelAt(s.CPU), "pingpong-srv", 0, s.Coroutine, func(p *kernel.Proc) {
+	s.Proc = s.Host.KernelAt(s.CPU).SpawnStep("pingpong-srv", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case ppsSetup:
@@ -98,9 +95,6 @@ type PingPongClient struct {
 	// "packet dropping at the IP queue makes latency measurements
 	// impossible at rates beyond 15,000 pkts/sec").
 	ReplyTimeout int64
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	RTT  metrics.Histogram
 	Lost int
@@ -135,7 +129,7 @@ func (c *PingPongClient) Start() {
 		recv  core.RecvFromOp
 		send  core.SendToOp
 	)
-	c.Proc = spawnStep(c.Host.K, "pingpong-cli", 0, c.Coroutine, func(p *kernel.Proc) {
+	c.Proc = c.Host.K.SpawnStep("pingpong-cli", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case ppcSetup:

@@ -30,9 +30,6 @@ type RPCServer struct {
 	// kernel.Proc.IntrPenalty).
 	DisturbPenalty int64
 	ReplySize      int
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Served metrics.Counter
 	Proc   *kernel.Proc
@@ -51,7 +48,7 @@ func (s *RPCServer) Start() {
 		recv  core.RecvFromOp
 		send  core.SendToOp
 	)
-	s.Proc = spawnStep(s.Host.K, "rpc-srv", 0, s.Coroutine, func(p *kernel.Proc) {
+	s.Proc = s.Host.K.SpawnStep("rpc-srv", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:
@@ -111,9 +108,6 @@ type WorkerServer struct {
 	// CachePenalty is the per-preemption cache-refill cost of the large
 	// working set.
 	CachePenalty int64
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	StartedAt  sim.Time
 	FinishedAt sim.Time
@@ -131,7 +125,7 @@ func (w *WorkerServer) Start() {
 		recv      core.RecvFromOp
 		send      core.SendToOp
 	)
-	w.Proc = spawnStep(w.Host.K, "worker", 0, w.Coroutine, func(p *kernel.Proc) {
+	w.Proc = w.Host.K.SpawnStep("worker", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:
@@ -215,9 +209,6 @@ type RPCClient struct {
 	// Outstanding caps requests in flight.
 	Outstanding int
 	Rng         *sim.Rand
-	// Coroutine hosts the process on a goroutine coroutine instead of
-	// stepping it stacklessly (the fallback execution mode).
-	Coroutine bool
 
 	Completed metrics.Counter
 	RTT       metrics.Histogram
@@ -242,7 +233,7 @@ func (c *RPCClient) Start() {
 		recv      core.RecvFromOp
 		send      core.SendToOp
 	)
-	c.Proc = spawnStep(c.Host.K, "rpc-cli", 0, c.Coroutine, func(p *kernel.Proc) {
+	c.Proc = c.Host.K.SpawnStep("rpc-cli", 0, func(p *kernel.Proc) {
 		for {
 			switch pc {
 			case 0:

@@ -32,7 +32,7 @@ func (h *Host) startICMPDaemon() {
 	h.icmpSock = s
 	h.attachChannel(s)
 	h.pcbs.BindProto(pkt.ProtoICMP, s)
-	proc := h.spawnDaemon(h.K, h.Name+"/icmpd", 0, h.icmpdStep(s))
+	proc := h.K.SpawnStep(h.Name+"/icmpd", 0, h.icmpdStep(s))
 	proc.Pinned = true // kernel daemon: never migrated off CPU 0
 	s.Owner = proc
 }

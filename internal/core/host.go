@@ -50,12 +50,6 @@ type Config struct {
 	// QueueCPU maps rx queue index -> CPU index. A nil slice (or any
 	// queue beyond its length) defaults to queue i -> CPU i mod CPUs.
 	QueueCPU []int
-	// CoroutineProcs hosts the kernel daemon processes (APP thread, idle
-	// thread, ICMP and forwarding daemons) on goroutine coroutines instead
-	// of stepping them stacklessly — the fallback execution mode. The
-	// bodies and request streams are identical either way; this knob
-	// exists for the equivalence tests and as an escape hatch.
-	CoroutineProcs bool
 }
 
 // Stats aggregates host-level drop and delivery accounting, by location —
@@ -131,10 +125,6 @@ type Host struct {
 	forwarding bool
 	fwdSock    *socket.Socket
 	fwdStats   ForwardStats
-
-	// coroProcs mirrors Config.CoroutineProcs for daemons spawned later
-	// (forwarding, ICMP).
-	coroProcs bool
 
 	// polled marks ArchPolling's overload mode (interrupts off).
 	polled bool
@@ -275,16 +265,15 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		h.NIC.OnHostIntr = h.pollingHostIntr
 	}
 
-	h.coroProcs = cfg.CoroutineProcs
 	if cfg.Arch.IsLRP() {
 		h.fragChan = nic.NewChannel(cm.ChannelLimit)
 		h.twChan = nic.NewChannel(cm.ChannelLimit)
 		h.twChan.IntrRequested = true
 		h.initTCPHooks()
-		h.appProc = h.spawnDaemon(h.K, cfg.Name+"/app-tcp", 0, h.appMainStep())
+		h.appProc = h.K.SpawnStep(cfg.Name+"/app-tcp", 0, h.appMainStep())
 		h.appProc.Pinned = true // kernel daemon: never migrated off CPU 0
 		if !cfg.NoIdleThread {
-			h.idleProc = h.spawnDaemon(h.K, cfg.Name+"/idle-proto", 0, h.idleMainStep())
+			h.idleProc = h.K.SpawnStep(cfg.Name+"/idle-proto", 0, h.idleMainStep())
 			h.idleProc.FixedPrio = kernel.PrioMax
 			h.idleProc.Pinned = true
 		}

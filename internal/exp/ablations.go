@@ -16,6 +16,7 @@ import (
 	"lrp/internal/results"
 	"lrp/internal/runner"
 	"lrp/internal/sim"
+	"lrp/internal/socket"
 )
 
 // AblationRow is one measurement of an ablation experiment.
@@ -72,17 +73,17 @@ func CorruptFlood(opt Options) []AblationRow {
 func corruptFloodRun(sys System, rate int64, dur sim.Time, opt Options) float64 {
 	r := newRig(sys, 2, opt)
 	server := r.hosts[1]
-	victim := server.K.Spawn("victim", 0, func(p *kernel.Proc) {
-		for {
-			p.Compute(sim.Millisecond)
-		}
+	victim := server.K.SpawnStep("victim", 0, func(p *kernel.Proc) {
+		p.ReqCompute(sim.Millisecond)
 	})
 	// The flood's destination: a bound socket whose owner never reads
-	// (a stalled receiver).
-	server.K.Spawn("stalled-recv", 0, func(p *kernel.Proc) {
+	// (a stalled receiver). Its one step binds the socket and sleeps on a
+	// queue nothing ever wakes.
+	var stall kernel.WaitQ
+	server.K.SpawnStep("stalled-recv", 0, func(p *kernel.Proc) {
 		s := server.NewUDPSocket(p)
 		_ = server.BindUDP(s, 7)
-		p.Sleep(&kernel.WaitQ{})
+		p.ReqSleep(&stall)
 	})
 	good := pkt.UDPPacket(AddrA, AddrB, 9, 7, 1, 64, make([]byte, 14), true)
 	bad := pkt.Corrupt(good)
@@ -118,21 +119,44 @@ func IdleThreadLatency(opt Options) []AblationRow {
 			Name: "server", Addr: AddrB, Arch: core.ArchSoftLRP, NoIdleThread: noIdle,
 		})
 		defer server.Shutdown()
-		var sum, n int64
-		server.K.Spawn("disk-bound", 0, func(p *kernel.Proc) {
-			s := server.NewUDPSocket(p)
-			_ = server.BindUDP(s, 7)
+		var (
+			sum, n    int64
+			pc        int
+			s         *socket.Socket
+			recv      core.RecvFromOp
+			callStart sim.Time
+		)
+		server.K.SpawnStep("disk-bound", 0, func(p *kernel.Proc) {
 			for {
-				// The disk read: sleep until the next 10 ms boundary, so the
-				// packet (arriving at 9.5 ms of each cycle) lands while this
-				// process is blocked on I/O, leaving the CPU idle.
-				p.Delay(10*sim.Millisecond - p.Now()%(10*sim.Millisecond))
-				callStart := p.Now()
-				if _, err := server.RecvFrom(p, s); err != nil {
-					return
+				switch pc {
+				case 0:
+					s = server.NewUDPSocket(p)
+					_ = server.BindUDP(s, 7)
+					pc = 1
+				case 1:
+					// The disk read: sleep until the next 10 ms boundary, so
+					// the packet (arriving at 9.5 ms of each cycle) lands while
+					// this process is blocked on I/O, leaving the CPU idle.
+					pc = 2
+					if p.ReqDelay(10*sim.Millisecond - p.Now()%(10*sim.Millisecond)) {
+						return
+					}
+				case 2:
+					callStart = p.Now()
+					pc = 3
+				case 3:
+					if !server.RecvFromStep(p, s, &recv) {
+						return
+					}
+					if recv.Err != nil {
+						p.ReqExit()
+						return
+					}
+					sum += p.Now() - callStart
+					n++
+					recv.Reset()
+					pc = 1
 				}
-				sum += p.Now() - callStart
-				n++
 			}
 		})
 		// One packet per disk cycle, arriving 500µs before the disk wait
@@ -248,13 +272,15 @@ func FilterDemuxAblation(opt Options) []AblationRow {
 		})
 		defer server.Shutdown()
 		// Decoy endpoints bound before the target: the interpreted scan
-		// pays for each of them on every packet.
-		server.K.Spawn("decoys", 0, func(p *kernel.Proc) {
+		// pays for each of them on every packet. The owner's one step binds
+		// them all and sleeps on a queue nothing ever wakes.
+		var idle kernel.WaitQ
+		server.K.SpawnStep("decoys", 0, func(p *kernel.Proc) {
 			for i := 0; i < decoys; i++ {
 				s := server.NewUDPSocket(p)
 				_ = server.BindUDP(s, uint16(2000+i))
 			}
-			p.Sleep(&kernel.WaitQ{})
+			p.ReqSleep(&idle)
 		})
 		sink := &app.BlastSink{Host: server, Port: 7, PerPktCompute: 10}
 		eng.At(1000, sink.Start)

@@ -8,9 +8,10 @@ import (
 )
 
 // TestSwitchPathZeroAllocs pins the switch path at zero allocations per
-// operation in both execution modes: the Consume keep-CPU fast path, the
-// proc-to-proc context switch (stackless and goroutine), the
-// sleep/timeout/wakeup cycle, and the interrupt-preempted burst.
+// operation: the Consume keep-CPU path, the proc-to-proc context switch,
+// the sleep/timeout/wakeup cycle, and the interrupt-preempted burst. The
+// consume, context-switch and sleep-timeout subtests run Spawn bodies,
+// pinning the goroutine bridge at zero allocations too.
 // Requests travel as typed fields on the Proc (no interface boxing),
 // all the closures involved are cached at Spawn/New time, and WorkItems
 // ride a free list, so once wait queues and free lists are warm nothing

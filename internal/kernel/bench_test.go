@@ -10,11 +10,9 @@ import (
 // much real CPU one simulated context switch, one Consume round trip, and
 // one sleep/wakeup cycle cost. Every experiment in the suite is built out
 // of millions of these operations, so they are the denominator of total
-// suite wall-clock time. The primary benchmarks run stackless processes
-// (SpawnStep) — the mode the hot bodies use; the *Coro variants run the
-// same workloads on goroutine coroutines, the PR 5 execution model kept
-// as a fallback. BENCH_kernel.json records before/after numbers for the
-// stackless rework.
+// suite wall-clock time. They run stackless processes (SpawnStep), the
+// only process model the scheduler dispatches. BENCH_kernel.json records
+// before/after numbers for the stackless rework.
 
 // benchKernel builds a kernel on a fresh engine.
 func benchKernel() (*sim.Engine, *Kernel) {
@@ -32,22 +30,6 @@ func BenchmarkConsume(b *testing.B) {
 		p.ReqCompute(10)
 	})
 	eng.RunFor(sim.Millisecond) // settle: clocks armed, free lists warm
-	b.ResetTimer()
-	eng.RunFor(int64(b.N) * 10)
-	b.StopTimer()
-	k.Shutdown()
-}
-
-// BenchmarkConsumeCoro is BenchmarkConsume on a goroutine process — the
-// keep-CPU fast path of the direct-handoff design.
-func BenchmarkConsumeCoro(b *testing.B) {
-	eng, k := benchKernel()
-	k.Spawn("worker", 0, func(p *Proc) {
-		for {
-			p.Compute(10)
-		}
-	})
-	eng.RunFor(sim.Millisecond)
 	b.ResetTimer()
 	eng.RunFor(int64(b.N) * 10)
 	b.StopTimer()
@@ -101,33 +83,6 @@ func BenchmarkContextSwitch(b *testing.B) {
 	k.Shutdown()
 }
 
-// BenchmarkContextSwitchCoro is BenchmarkContextSwitch on goroutine
-// processes: the same workload, but each handoff wakes the other
-// process's goroutine through a sim.Coro channel pair.
-func BenchmarkContextSwitchCoro(b *testing.B) {
-	eng, k := benchKernel()
-	var aq, bq WaitQ
-	k.Spawn("a", 0, func(p *Proc) {
-		for {
-			p.Compute(5)
-			bq.WakeupAll()
-			p.Sleep(&aq)
-		}
-	})
-	k.Spawn("b", 0, func(p *Proc) {
-		for {
-			p.Compute(5)
-			aq.WakeupAll()
-			p.Sleep(&bq)
-		}
-	})
-	eng.RunFor(sim.Millisecond)
-	b.ResetTimer()
-	eng.RunFor(int64(b.N) * 5)
-	b.StopTimer()
-	k.Shutdown()
-}
-
 // BenchmarkSleepWakeup measures the timer path: a stackless process
 // sleeps with a timeout and is woken by the engine each cycle. One op =
 // one SleepTimeout round trip (park, timer event, wakeup, dispatch).
@@ -136,23 +91,6 @@ func BenchmarkSleepWakeup(b *testing.B) {
 	var wq WaitQ
 	k.SpawnStep("sleeper", 0, func(p *Proc) {
 		p.ReqSleepTimeout(&wq, 10)
-	})
-	eng.RunFor(sim.Millisecond)
-	b.ResetTimer()
-	eng.RunFor(int64(b.N) * 10)
-	b.StopTimer()
-	k.Shutdown()
-}
-
-// BenchmarkSleepWakeupCoro is BenchmarkSleepWakeup on a goroutine
-// process.
-func BenchmarkSleepWakeupCoro(b *testing.B) {
-	eng, k := benchKernel()
-	var wq WaitQ
-	k.Spawn("sleeper", 0, func(p *Proc) {
-		for {
-			p.SleepTimeout(&wq, 10)
-		}
 	})
 	eng.RunFor(sim.Millisecond)
 	b.ResetTimer()
@@ -170,31 +108,6 @@ func BenchmarkInterruptedConsume(b *testing.B) {
 	eng, k := benchKernel()
 	k.SpawnStep("worker", 0, func(p *Proc) {
 		p.ReqCompute(10)
-	})
-	var post func()
-	post = func() {
-		if k.shutdown {
-			return
-		}
-		k.PostHW(WorkItem{Cost: 2})
-		eng.After(10, post)
-	}
-	eng.After(10, post)
-	eng.RunFor(sim.Millisecond)
-	b.ResetTimer()
-	eng.RunFor(int64(b.N) * 12)
-	b.StopTimer()
-	k.Shutdown()
-}
-
-// BenchmarkInterruptedConsumeCoro is BenchmarkInterruptedConsume on a
-// goroutine process.
-func BenchmarkInterruptedConsumeCoro(b *testing.B) {
-	eng, k := benchKernel()
-	k.Spawn("worker", 0, func(p *Proc) {
-		for {
-			p.Compute(10)
-		}
 	})
 	var post func()
 	post = func() {

@@ -13,17 +13,12 @@
 // context during the reception of packets is charged to the application
 // that happens to execute when a packet arrives").
 //
-// Application code runs in one of two interchangeable modes. In
-// goroutine mode (Spawn), each process gets a goroutine strictly
-// interlocked with the engine so the whole simulation executes one
-// goroutine at a time; control moves by direct handoff (sim.Coro), and
-// a process that keeps the CPU after a burst fires its own
-// burst-completion event in place without any goroutine switch. In
-// stackless mode (SpawnStep), the process body is an explicit state
-// machine the scheduler steps inline at dispatch — a simulated context
-// switch is a function return plus a function call. Scheduling
-// decisions, accounting and event order are identical in both modes.
-// See DESIGN.md §9 and §11.
+// Every process body is a state machine (SpawnStep) that the scheduler
+// steps inline at dispatch: the step stores its next request and
+// returns, and the scheduler applies it, so a simulated context switch
+// is a function return plus a function call. Spawn hosts a direct-style
+// body behind such a step, on a goroutine that runs only while the
+// scheduler waits for its next request. See DESIGN.md §9 and §11.
 package kernel
 
 import (
@@ -142,9 +137,9 @@ type Group struct {
 }
 
 // Kernel is one simulated host CPU plus its scheduler state. Create with
-// New. All methods must be called from the engine goroutine or from the
-// currently running process goroutine (the simulation guarantees only one
-// of those is active at a time).
+// New. All methods must be called from simulation context: an event
+// callback, a step body, or a Spawn body while it is dispatched (the
+// scheduler waits for it, so only one of those is ever active).
 type Kernel struct {
 	Eng  *sim.Engine
 	Name string
@@ -336,9 +331,9 @@ func popIntr(q []*WorkItem) []*WorkItem {
 // SWPending returns the number of queued software-interrupt work items.
 func (k *Kernel) SWPending() int { return len(k.swQ) }
 
-// newProc allocates and registers a process shell shared by Spawn and
-// SpawnStep: runnable state, cached timeout callback, process list
-// membership. The caller attaches a body and makes it runnable.
+// newProc allocates and registers a process shell: runnable state,
+// cached timeout callback, process list membership. The caller attaches
+// a body and makes it runnable.
 func (k *Kernel) newProc(name string, nice int) *Proc {
 	p := &Proc{
 		K:     k,
@@ -361,20 +356,6 @@ func (k *Kernel) newProc(name string, nice int) *Proc {
 	return p
 }
 
-// Spawn creates a process running fn and makes it runnable. fn executes on
-// its own goroutine, interlocked with the engine; it must interact with
-// simulated time only through Proc methods. See SpawnStep for the
-// stackless alternative.
-func (k *Kernel) Spawn(name string, nice int, fn func(*Proc)) *Proc {
-	p := k.newProc(name, nice)
-	p.coro = k.Eng.NewCoro()
-	p.done = make(chan struct{})
-	k.addRunnable(p)
-	go procMain(p, fn) //lrp:coroutine — parked immediately; the scheduler keeps exactly one goroutine runnable
-	k.reschedule()
-	return p
-}
-
 // Shutdown terminates all live process goroutines so a finished simulation
 // does not leak them. The kernel is unusable afterwards.
 func (k *Kernel) Shutdown() {
@@ -392,12 +373,10 @@ func (k *Kernel) Shutdown() {
 			p.timeoutEv = sim.Event{}
 		}
 		p.state = stateDead
-		if p.coro != nil {
-			// Goroutine-mode process: unwind its goroutine. A stackless
-			// process has no goroutine — marking it dead is enough.
-			p.coro.Kill()
-			p.coro.Signal()
-			<-p.done
+		if p.bridge != nil {
+			// A started Spawn process: unwind its goroutine. Any other
+			// process has none — marking it dead is enough.
+			p.bridge.kill()
 		}
 	}
 	k.runq = nil
@@ -461,7 +440,7 @@ func (k *Kernel) StealCandidate() *Proc {
 	next := k.pickProc()
 	var best *Proc
 	for _, p := range k.runq {
-		if p == next || p.Pinned || p.dispatched || k.curRunProc == p || p.state != stateRunnable {
+		if p == next || p.Pinned || k.curRunProc == p || p.state != stateRunnable {
 			continue
 		}
 		if best == nil || p.Prio() < best.Prio() || (p.Prio() == best.Prio() && p.seq < best.seq) {
@@ -549,12 +528,6 @@ func (k *Kernel) closeBurst() {
 // reschedule is the dispatcher: it decides which band/process should own
 // the CPU and opens a burst for it. Re-entrant calls (from code running
 // inside a dispatched process step) are deferred to the step's end.
-//
-// inSched is managed explicitly rather than with defer because of the
-// self-dispatch early return: when the scheduling loop picks the very
-// process whose goroutine is executing it, the loop returns with inSched
-// still held — that process resumes user code, and the flag is its
-// user-window guard until its next yield releases it.
 func (k *Kernel) reschedule() {
 	if k.inSched {
 		k.needResched = true
@@ -590,9 +563,7 @@ func (k *Kernel) reschedule() {
 				return
 			}
 			if p.pendingWork <= 0 {
-				if k.runProcStep(p) {
-					return // self-dispatch: inSched stays held for the user window
-				}
+				k.runProcStep(p)
 				continue // process state changed; re-pick
 			}
 			k.openProcBurst(p)
@@ -678,109 +649,34 @@ func (k *Kernel) onBurstDone() {
 		k.releaseItem(item)
 	case bandProc:
 		if p.pendingWork <= 0 {
-			// Tail handoff: the process resumes its user step on this
-			// very goroutine (free when it fired its own burst event);
-			// its next yield applies the request and reschedules — the
-			// same [user step, apply, reschedule] sequence the central
-			// dispatcher used to run, minus the goroutine round trip.
-			k.dispatchContinue(p)
-			return
+			// The process keeps the CPU: step it inline, apply its
+			// request, and let the dispatcher pick what runs next.
+			k.inSched = true
+			k.runProcStep(p)
+			k.inSched = false
 		}
 	}
 	k.reschedule()
 }
 
-// dispatchContinue grants p the CPU after its burst completed, by direct
-// handoff. Must be the last action of its caller's event: nothing may
-// run after it until p's next yield. inSched is taken as the user-window
-// guard and released by that yield.
+// runProcStep dispatches p: it runs p's next step inline and applies the
+// request the step returns with. The caller holds inSched as the
+// user-window guard for the duration of the step.
 //
 //lrp:hotpath
-func (k *Kernel) dispatchContinue(p *Proc) {
+func (k *Kernel) runProcStep(p *Proc) {
 	k.enter()
 	k.curProc = p
 	p.state = stateRunning
-	if p.step != nil {
-		// Stackless tail handoff: run the next step inline, then the
-		// same [apply, reschedule] a goroutine process's yield performs,
-		// and return to the event loop. No goroutine is woken; the event
-		// order is the one a root-driven goroutine run produces.
-		k.inSched = true
-		k.stepStackless(p)
-		k.inSched = false
-		k.reschedule()
-		return
-	}
-	p.resumedBy = nil
-	p.dispatched = true
-	k.inSched = true
-	if k.Eng.Handoff(p.coro) {
-		panic(errKilled)
-	}
-}
-
-// runProcStep transfers control to p's goroutine until it issues its next
-// request, then applies that request. Called from the scheduling loop with
-// inSched held.
-//
-// If p is the process whose goroutine is executing the loop (it just
-// yielded, and the scheduler picked it again), there is no goroutine to
-// switch to: runProcStep reports true and the loop returns, unwinding to
-// p's yield frame, which resumes user code directly. Otherwise the step
-// runs nested: this goroutine parks inside SwitchTo until p's next yield
-// switches back, preserving the exact operation order of the old central
-// dispatcher.
-//
-//lrp:hotpath
-func (k *Kernel) runProcStep(p *Proc) bool {
-	k.enter()
-	k.curProc = p
-	p.state = stateRunning
-	if p.step != nil {
-		// Stackless: the step runs inline on this goroutine (inSched is
-		// already held by the scheduling loop) and its request is applied
-		// on return — the same [user step, apply] sequence the nested
-		// goroutine path below performs, minus the two switches.
-		k.stepStackless(p)
-		return false
-	}
-	p.dispatched = true
-	self := k.Eng.Current()
-	if p.coro == self {
-		p.resumedBy = nil
-		return true
-	}
-	p.resumedBy = self
-	if k.Eng.SwitchTo(p.coro) {
-		panic(errKilled)
+	p.reqKind = reqNone
+	p.step(p)
+	if p.reqKind == reqNone {
+		panic("kernel: step body of " + p.Name + " returned without a request") //lrp:coldalloc assertion path
 	}
 	k.applyRequest(p)
-	return false
-}
-
-// drive runs the event loop from a process goroutine that owns it, until
-// the scheduler dispatches the process again. It fires only events that
-// are unambiguously its own — the process's burst completion at the head
-// of the queue, within the run horizon — and hands everything else to
-// the root coroutine, so the global event order is identical to a fully
-// root-driven run.
-//
-//lrp:hotpath
-func (k *Kernel) drive(p *Proc) {
-	for !p.dispatched {
-		if k.curRunProc == p && k.Eng.HeadIs(k.burstEv) && k.Eng.StepWithin() {
-			continue
-		}
-		if k.Eng.YieldToRoot() {
-			panic(errKilled)
-		}
-	}
-	p.dispatched = false
 }
 
 // applyRequest consumes p's pending request, updating scheduler state.
-// Runs on whichever goroutine is dispatching: the parked resumer for a
-// nested step, or p itself when it owns the event loop.
 //
 //lrp:hotpath
 func (k *Kernel) applyRequest(p *Proc) {

@@ -34,8 +34,8 @@ var (
 	errExited = errors.New("kernel: process exited")
 )
 
-// reqKind identifies the request a process goroutine hands to the
-// scheduler at each yield. Requests are carried in typed Proc fields
+// reqKind identifies the request a process hands to the scheduler at
+// the end of each step. Requests are carried in typed Proc fields
 // (reqD, reqSys, ...) rather than an interface value so issuing one
 // never allocates — the switch path is exercised millions of times per
 // experiment.
@@ -48,9 +48,10 @@ const (
 	reqExit
 )
 
-// Proc is a simulated process (or kernel thread). Application logic runs on
-// the process goroutine and interacts with simulated time only through
-// these methods. Fields are documented as read-only for application code
+// Proc is a simulated process (or kernel thread). Application logic runs
+// in the process's step function (or, for Spawn, on its bridged
+// goroutine) and interacts with simulated time only through these
+// methods. Fields are documented as read-only for application code
 // unless stated otherwise.
 type Proc struct {
 	K    *Kernel
@@ -109,8 +110,8 @@ type Proc struct {
 	chargeTo      *Proc
 	lastBandEpoch uint64
 
-	// The pending request, valid from the yield that issues it until the
-	// scheduler applies it.
+	// The pending request, valid from the Req* setter that stores it until
+	// the scheduler applies it.
 	reqKind     reqKind
 	reqD        int64
 	reqSys      bool
@@ -118,98 +119,19 @@ type Proc struct {
 	reqWq       *WaitQ
 	reqTimeout  int64
 
-	// step, when non-nil, is the body of a stackless process: the
-	// scheduler calls it inline at each dispatch instead of switching to
-	// a goroutine, and coro/done stay nil. See step.go.
+	// step is the process body: the scheduler calls it inline at each
+	// dispatch. See step.go.
 	step StepFn
 	// delayWq is the private wait queue backing ReqDelay/Delay: nothing
 	// but the sleep timeout ever wakes it, so one reusable queue per
 	// process replaces an allocation per Delay call.
 	delayWq WaitQ
 
-	coro *sim.Coro
-	// resumedBy, when non-nil, is the coroutine parked inside runProcStep
-	// waiting for this process's next request; the next yield switches
-	// straight back to it. Nil means the process was dispatched by direct
-	// handoff and owns the event loop itself.
-	resumedBy *sim.Coro
-	// dispatched is set by the scheduler when it selects this process to
-	// run and cleared by the process as it resumes user code. A parked
-	// process uses it to distinguish "run your next step" from "the event
-	// loop merely passed through your goroutine".
-	dispatched bool
-	done       chan struct{}
-	crash      any
-}
-
-// procMain is the goroutine body wrapping user code.
-func procMain(p *Proc, fn func(*Proc)) {
-	defer close(p.done)
-	p.coro.Park() // birth: wait for the first dispatch
-	if p.coro.Killed() {
-		return
-	}
-	p.dispatched = false
-	res := func() (r any) {
-		defer func() { r = recover() }()
-		fn(p)
-		return nil
-	}()
-	if res == errKilled {
-		return
-	}
-	if res != nil && res != errExited {
-		p.crash = res
-	}
-	k := p.K
-	p.reqKind = reqExit
-	if rb := p.resumedBy; rb != nil {
-		// A dispatcher is parked in runProcStep waiting for this step's
-		// request; wake it as the goroutine unwinds and let it apply the
-		// exit, exactly as it applies any other request.
-		p.resumedBy = nil
-		k.Eng.LeaveTo(rb)
-		return
-	}
-	// This process owns the event loop: apply its own exit, pick the next
-	// work, and return the loop to the root coroutine on the way out.
-	k.applyRequest(p)
-	k.inSched = false
-	k.reschedule()
-	k.Eng.LeaveToRoot()
-}
-
-// yield hands the pending request (already stored in p.req*) to the
-// scheduler and blocks until the process is dispatched again.
-//
-// Two postures, mirroring how the process was last dispatched. If a
-// dispatcher coroutine is parked in runProcStep waiting on us
-// (resumedBy), switch straight back: it applies the request and
-// continues its scheduling loop. Otherwise this process was dispatched
-// by direct handoff and owns the event loop itself: apply the request
-// in place, reschedule, and keep driving — if the scheduler picked us
-// again the yield returns without any goroutine switch at all.
-//
-//lrp:hotpath
-func (p *Proc) yield() {
-	if p.step != nil {
-		// Blocking methods need a goroutine to park; a stackless body
-		// must issue requests with the Req* setters and return instead.
-		panic("kernel: blocking call on stackless process " + p.Name) //lrp:coldalloc assertion path
-	}
-	k := p.K
-	if rb := p.resumedBy; rb != nil {
-		p.resumedBy = nil
-		if k.Eng.SwitchTo(rb) {
-			panic(errKilled)
-		}
-		p.dispatched = false
-		return
-	}
-	k.applyRequest(p)
-	k.inSched = false
-	k.reschedule()
-	k.drive(p)
+	// bridge is set once a Spawn process's goroutine has started; nil for
+	// a stackless body. See bridge.go.
+	bridge *bridge
+	// crash is what a Spawn body panicked with; its exit re-raises it.
+	crash any
 }
 
 // Compute consumes d microseconds of CPU as user time. The process may be
@@ -276,7 +198,7 @@ func (p *Proc) Delay(d int64) {
 
 // Exit terminates the process immediately, unwinding its goroutine.
 func (p *Proc) Exit() {
-	if p.step != nil {
+	if p.bridge == nil {
 		panic("kernel: Exit on stackless process " + p.Name + "; request exit with ReqExit") //lrp:coldalloc assertion path
 	}
 	panic(errExited)
@@ -401,11 +323,11 @@ func (p *Proc) DeliverWakeup() {
 // and run lists, joins dst's (with a fresh FIFO sequence), and pays
 // cost microseconds of extra work on its next burst (the cache-refill
 // price of running cold on another CPU). It reports whether the
-// migration happened: pinned, non-runnable, dispatched, or mid-burst
-// processes — and processes already on dst — do not move.
+// migration happened: pinned, non-runnable or mid-burst processes — and
+// processes already on dst — do not move.
 func (p *Proc) MigrateTo(dst *Kernel, cost int64) bool {
 	src := p.K
-	if dst == src || p.state != stateRunnable || p.Pinned || p.dispatched || src.curRunProc == p {
+	if dst == src || p.state != stateRunnable || p.Pinned || src.curRunProc == p {
 		return false
 	}
 	src.removeRunnable(p)

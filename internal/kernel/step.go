@@ -2,22 +2,16 @@ package kernel
 
 // Stackless processes.
 //
-// A stackless process has no goroutine and no sim.Coro: its body is an
-// explicit state machine — a StepFn closed over a state word and typed
-// locals — that the scheduler calls inline at every dispatch. Where a
-// goroutine body blocks (Compute, Sleep, ...), a step body stores the
-// same typed request in the Proc's req* fields via the Req* setters and
-// returns; the scheduler applies the request exactly where the old
-// dispatcher applied a yielded one. A simulated context switch is then
-// a function return plus a function call, with no channel operations
-// and no goroutine wakeup.
-//
-// The two modes are interchangeable: scheduling decisions, accounting
-// and event order depend only on the request stream, never on which
-// goroutine hosts the body, so a world may mix stackless and goroutine
-// processes freely and produce bit-identical results either way.
-// SpawnStepCoro runs a StepFn state machine on a goroutine coroutine —
-// the fallback for debugging and the lever the equivalence tests use.
+// Every process is stackless: its body is an explicit state machine — a
+// StepFn closed over a state word and typed locals — that the scheduler
+// calls inline at every dispatch. Where a direct-style body would block
+// (Compute, Sleep, ...), a step body stores the same typed request in
+// the Proc's req* fields via the Req* setters and returns; the scheduler
+// applies the request on return. A simulated context switch is then a
+// function return plus a function call, with no channel operations and
+// no goroutine wakeup. Spawn (bridge.go) hosts a direct-style body
+// behind a StepFn; scheduling, accounting and event order depend only on
+// the request stream, so it behaves exactly as the equivalent machine.
 //
 // Step bodies must not call the blocking Proc methods (Compute, Sleep,
 // Delay, Exit, Block, ...); the stepfn lrplint analyzer enforces this
@@ -31,52 +25,15 @@ package kernel
 type StepFn func(*Proc)
 
 // SpawnStep creates a stackless process running the step state machine
-// and makes it runnable. The step function executes inline on whichever
-// goroutine is driving the simulation; it must interact with simulated
-// time only through the non-blocking Proc methods.
+// and makes it runnable. The scheduler calls step inline at each
+// dispatch; it must interact with simulated time only through the
+// non-blocking Proc methods.
 func (k *Kernel) SpawnStep(name string, nice int, step StepFn) *Proc {
 	p := k.newProc(name, nice)
 	p.step = step
 	k.addRunnable(p)
 	k.reschedule()
 	return p
-}
-
-// SpawnStepCoro runs the same state machine on a goroutine coroutine:
-// the step function is called in a loop on a dedicated goroutine, with
-// a blocking yield between steps. Simulation behaviour is identical to
-// SpawnStep — only the hosting (and the real-time cost of a dispatch)
-// differs — so a workload written as a StepFn can be flipped between
-// modes for debugging or A/B equivalence checks.
-func (k *Kernel) SpawnStepCoro(name string, nice int, step StepFn) *Proc {
-	return k.Spawn(name, nice, func(p *Proc) {
-		for {
-			p.reqKind = reqNone
-			step(p)
-			switch p.reqKind {
-			case reqNone:
-				panic("kernel: step body of " + p.Name + " returned without a request") //lrp:coldalloc assertion path
-			case reqExit:
-				return
-			}
-			p.yield()
-		}
-	})
-}
-
-// stepStackless runs one step of a stackless process and applies the
-// request it returns with — the stackless twin of [user step, apply]
-// inside runProcStep. Engine context; the caller holds inSched as the
-// user-window guard for the duration of the step.
-//
-//lrp:hotpath
-func (k *Kernel) stepStackless(p *Proc) {
-	p.reqKind = reqNone
-	p.step(p)
-	if p.reqKind == reqNone {
-		panic("kernel: step body of " + p.Name + " returned without a request") //lrp:coldalloc assertion path
-	}
-	k.applyRequest(p)
 }
 
 // Request setters. Each stores the typed request a blocking Proc method
@@ -184,15 +141,11 @@ func (p *Proc) ReqExit() bool {
 // ReqSleepTimeout until the next sleep.
 func (p *Proc) TimedOut() bool { return p.timedOut }
 
-// Stackless reports whether the process runs as an inline-stepped state
-// machine (no goroutine).
-func (p *Proc) Stackless() bool { return p.step != nil }
-
 // Block yields the request already stored by a Req* setter and returns
-// when the process is dispatched again. It is how a goroutine-mode body
-// drives a shared step machine: `for !op.Step(p) { p.Block() }`. On a
-// stackless process Block panics — a step body returns to the scheduler
-// instead. A pending exit request unwinds the goroutine like Exit.
+// when the process is dispatched again. It is how a Spawn body drives a
+// shared step machine: `for !op.Step(p) { p.Block() }`. Called from a
+// step body Block panics — a step body returns to the scheduler instead.
+// A pending exit request unwinds the goroutine like Exit.
 //
 //lrp:hotpath
 func (p *Proc) Block() {

@@ -1,10 +1,10 @@
 package kernel
 
 // Stress and equivalence coverage for stackless processes: the 100k-proc
-// world the stackless mode exists to make cheap (100k goroutines would
-// cost gigabytes of stacks and channel-pair context switches), and the
-// mixed-mode scheduling contract (stackless and goroutine-hosted bodies
-// interleave with identical accounting).
+// world stackless processes make cheap (100k goroutines would cost
+// gigabytes of stacks and channel-pair context switches), and the
+// Spawn bridge's contract (a body hosted on a goroutine issues exactly
+// the request stream of the same machine stepped inline).
 
 import (
 	"testing"
@@ -87,11 +87,23 @@ func TestStackless100kProcs(t *testing.T) {
 	}
 }
 
+// hosted wraps a step machine as a Spawn body: each pass runs one step
+// on the bridged goroutine and blocks on the request it stored. A
+// pending ReqExit unwinds the body at Block, as Exit does.
+func hosted(step StepFn) func(*Proc) {
+	return func(p *Proc) {
+		for {
+			step(p)
+			p.Block()
+		}
+	}
+}
+
 // TestMixedModeEquivalence runs the same two-process producer/consumer
-// state machine three ways — both stackless, both goroutine-hosted
-// (SpawnStepCoro), and one of each — and requires identical completion
-// times and accounting. This is the mixing contract: scheduling depends
-// only on the request stream, never on which goroutine hosts the body.
+// state machine three ways — both stackless, both hosted in Spawn bodies,
+// and one of each — and requires identical completion times and
+// accounting. This pins the Spawn bridge: scheduling depends only on the
+// request stream, never on whether a goroutine hosts the body.
 func TestMixedModeEquivalence(t *testing.T) {
 	type result struct {
 		doneAt sim.Time
@@ -99,20 +111,20 @@ func TestMixedModeEquivalence(t *testing.T) {
 		prodS  int64
 		consS  int64
 	}
-	run := func(coroA, coroB bool) result {
+	run := func(bridgedA, bridgedB bool) result {
 		eng := sim.NewEngine()
 		k := New(eng, "test")
 		defer k.Shutdown()
 		var full, empty WaitQ
 		queued := 0
-		spawn := func(coro bool, name string, step StepFn) *Proc {
-			if coro {
-				return k.SpawnStepCoro(name, 0, step)
+		spawn := func(bridged bool, name string, step StepFn) *Proc {
+			if bridged {
+				return k.Spawn(name, 0, hosted(step))
 			}
 			return k.SpawnStep(name, 0, step)
 		}
 		produced := 0
-		a := spawn(coroA, "producer", func(p *Proc) {
+		a := spawn(bridgedA, "producer", func(p *Proc) {
 			for {
 				if produced == 50 {
 					p.ReqExit()
@@ -132,7 +144,7 @@ func TestMixedModeEquivalence(t *testing.T) {
 		})
 		consumed := 0
 		var doneAt sim.Time
-		b := spawn(coroB, "consumer", func(p *Proc) {
+		b := spawn(bridgedB, "consumer", func(p *Proc) {
 			for {
 				if consumed == 50 {
 					doneAt = p.Now()
@@ -153,13 +165,13 @@ func TestMixedModeEquivalence(t *testing.T) {
 		})
 		eng.RunFor(10 * sim.Second)
 		if consumed != 50 {
-			t.Fatalf("consumed %d of 50 (coroA=%v coroB=%v)", consumed, coroA, coroB)
+			t.Fatalf("consumed %d of 50 (bridgedA=%v bridgedB=%v)", consumed, bridgedA, bridgedB)
 		}
 		return result{doneAt: doneAt, prodU: a.UTime, prodS: a.STime, consS: b.STime}
 	}
 	base := run(false, false)
-	if coro := run(true, true); coro != base {
-		t.Errorf("all-coroutine run diverged: %+v vs %+v", coro, base)
+	if bridged := run(true, true); bridged != base {
+		t.Errorf("all-bridged run diverged: %+v vs %+v", bridged, base)
 	}
 	if mixed := run(false, true); mixed != base {
 		t.Errorf("mixed run diverged: %+v vs %+v", mixed, base)

@@ -23,7 +23,7 @@ type sendEvent struct {
 
 // runTrace builds a 3-link chain with a population on the edge and
 // returns the packet trace after d of sim time.
-func runTrace(cfg Config, coro bool, d int64) []sendEvent {
+func runTrace(cfg Config, d int64) []sendEvent {
 	eng := sim.NewEngine()
 	nw := netsim.New(eng)
 	spec := topo.Spec{
@@ -35,7 +35,6 @@ func runTrace(cfg Config, coro bool, d int64) []sendEvent {
 	}
 	t := topo.Chain(spec, 2)
 	defer t.Shutdown()
-	cfg.Coroutine = coro
 	g := &Population{
 		Host:  t.Edges[0],
 		Net:   nw,
@@ -63,8 +62,8 @@ func TestSameSeedSamePacketTrace(t *testing.T) {
 		ChurnPerSec: 20,
 		Seed:        42,
 	}
-	a := runTrace(cfg, false, 2*sim.Second)
-	b := runTrace(cfg, false, 2*sim.Second)
+	a := runTrace(cfg, 2*sim.Second)
+	b := runTrace(cfg, 2*sim.Second)
 	if len(a) == 0 {
 		t.Fatal("population generated nothing")
 	}
@@ -73,20 +72,9 @@ func TestSameSeedSamePacketTrace(t *testing.T) {
 	}
 	// A different seed must not replay the same trace.
 	cfg.Seed = 43
-	c := runTrace(cfg, false, 2*sim.Second)
+	c := runTrace(cfg, 2*sim.Second)
 	if fmt.Sprintf("%v", a) == fmt.Sprintf("%v", c) {
 		t.Fatal("different seeds produced identical traces")
-	}
-}
-
-func TestCoroutineModeMatchesStackless(t *testing.T) {
-	// The fallback goroutine execution mode must emit the identical
-	// trace: the StepFn issues the same request stream either way.
-	cfg := Config{Clients: 1000, RatePps: 3000, ChurnPerSec: 10, Seed: 7}
-	a := runTrace(cfg, false, sim.Second)
-	b := runTrace(cfg, true, sim.Second)
-	if len(a) == 0 || fmt.Sprintf("%v", a) != fmt.Sprintf("%v", b) {
-		t.Fatalf("stackless (%d events) and coroutine (%d events) traces differ", len(a), len(b))
 	}
 }
 
@@ -109,7 +97,7 @@ func TestArrivalAndSizeDistributions(t *testing.T) {
 		Seed:      1,
 	}
 	const dur = 20 * sim.Second
-	trace := runTrace(cfg, false, dur)
+	trace := runTrace(cfg, dur)
 	n := len(trace)
 	want := cfg.RatePps * float64(dur) / 1e6
 	if math.Abs(float64(n)-want) > 0.05*want {
@@ -158,12 +146,12 @@ func TestArrivalAndSizeDistributions(t *testing.T) {
 
 func TestFlashCrowdRaisesRate(t *testing.T) {
 	base := Config{Clients: 10_000, RatePps: 2000, Seed: 5}
-	calm := len(runTrace(base, false, 5*sim.Second))
+	calm := len(runTrace(base, 5*sim.Second))
 	flashy := base
 	flashy.FlashFactor = 8
 	flashy.CalmMeanUs = 100 * sim.Millisecond
 	flashy.FlashMeanUs = 100 * sim.Millisecond
-	hot := len(runTrace(flashy, false, 5*sim.Second))
+	hot := len(runTrace(flashy, 5*sim.Second))
 	// Expected long-run rate with equal sojourns: (1+8)/2 = 4.5x calm.
 	if hot < calm*2 {
 		t.Fatalf("flash-crowd modulation raised %d calm packets only to %d", calm, hot)
@@ -172,7 +160,7 @@ func TestFlashCrowdRaisesRate(t *testing.T) {
 
 func TestClientIdentitiesSpanPopulation(t *testing.T) {
 	cfg := Config{Clients: 200_000, RatePps: 10_000, ClientBase: 100_000, Seed: 3}
-	trace := runTrace(cfg, false, 2*sim.Second)
+	trace := runTrace(cfg, 2*sim.Second)
 	distinct := make(map[pkt.Addr]bool)
 	for _, e := range trace {
 		distinct[e.src] = true

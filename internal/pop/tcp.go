@@ -32,8 +32,6 @@ type SessionChurn struct {
 	SizeMax   int
 	SizeAlpha float64
 	Seed      uint64
-	// Coroutine hosts the proc on a goroutine (fallback execution mode).
-	Coroutine bool
 
 	Completed metrics.Counter
 	Failures  metrics.Counter
@@ -83,7 +81,7 @@ func (c *SessionChurn) Start() {
 		pc = scThink
 		return p.ReqDelay(think.ExpDuration(c.ThinkMeanUs))
 	}
-	c.Proc = spawnStep(c.Host.K, "pop-tcp", 0, c.Coroutine, func(p *kernel.Proc) {
+	c.Proc = c.Host.K.SpawnStep("pop-tcp", 0, func(p *kernel.Proc) {
 		// The body is a pure `for { switch pc }` machine so the stepreq
 		// analyzer partitions its state per arm; the stop check lives in
 		// scThink, the only arm every session cycles through.

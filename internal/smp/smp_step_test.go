@@ -1,10 +1,11 @@
 package smp_test
 
-// Mixed-mode SMP coverage: work stealing, remote wakeups and IPIs must
-// treat stackless processes exactly like goroutine-hosted ones. The same
-// two-CPU world — compute-bound procs that get stolen, a remote sleeper
-// woken across CPUs — runs in every hosting combination and must produce
-// identical timings, accounting, migrations and steal counts.
+// Spawn-bridge SMP coverage: work stealing, remote wakeups and IPIs must
+// treat a Spawn process exactly like the stackless machine its body
+// steps. The same two-CPU world — compute-bound procs that get stolen, a
+// remote sleeper woken across CPUs — runs with each set of machines
+// stepped inline or hosted in Spawn bodies and must produce identical
+// timings, accounting, migrations and steal counts.
 
 import (
 	"fmt"
@@ -16,7 +17,7 @@ import (
 	"lrp/internal/smp"
 )
 
-func mixedWorld(coroWorkers, coroSleeper bool) string {
+func mixedWorld(bridgedWorkers, bridgedSleeper bool) string {
 	eng := sim.NewEngine()
 	k0 := kernel.New(eng, "cpu0")
 	k1 := kernel.New(eng, "cpu1")
@@ -24,9 +25,16 @@ func mixedWorld(coroWorkers, coroSleeper bool) string {
 	defer k1.Shutdown()
 	cl := smp.New(eng, []*kernel.Kernel{k0, k1}, smp.Config{})
 
-	spawn := func(k *kernel.Kernel, coro bool, name string, step kernel.StepFn) *kernel.Proc {
-		if coro {
-			return k.SpawnStepCoro(name, 0, step)
+	spawn := func(k *kernel.Kernel, bridged bool, name string, step kernel.StepFn) *kernel.Proc {
+		if bridged {
+			// The Spawn body steps the same machine, blocking on each
+			// request; a pending ReqExit unwinds it at Block.
+			return k.Spawn(name, 0, func(p *kernel.Proc) {
+				for {
+					step(p)
+					p.Block()
+				}
+			})
 		}
 		return k.SpawnStep(name, 0, step)
 	}
@@ -54,10 +62,10 @@ func mixedWorld(coroWorkers, coroSleeper bool) string {
 			}
 		}
 	}
-	a := spawn(k0, coroWorkers, "worker-a", worker("a", true))
-	b := spawn(k0, coroWorkers, "worker-b", worker("b", false))
+	a := spawn(k0, bridgedWorkers, "worker-a", worker("a", true))
+	b := spawn(k0, bridgedWorkers, "worker-b", worker("b", false))
 	slpc := 0
-	s := spawn(k1, coroSleeper, "sleeper", func(p *kernel.Proc) {
+	s := spawn(k1, bridgedSleeper, "sleeper", func(p *kernel.Proc) {
 		for {
 			switch slpc {
 			case 0:
@@ -91,15 +99,17 @@ func mixedWorld(coroWorkers, coroSleeper bool) string {
 }
 
 // TestSMPMixedModeEquivalence checks every hosting combination against
-// the all-stackless baseline, and that the baseline actually exercised
-// the SMP machinery (a steal moved a worker, the remote wake landed).
+// the all-stackless baseline — the reference check that the Spawn bridge
+// issues the stackless request stream across steals and remote wakeups —
+// and that the baseline actually exercised the SMP machinery (a steal
+// moved a worker, the remote wake landed).
 func TestSMPMixedModeEquivalence(t *testing.T) {
 	base := mixedWorld(false, false)
 	for _, tc := range []struct{ workers, sleeper bool }{
 		{true, true}, {true, false}, {false, true},
 	} {
 		if got := mixedWorld(tc.workers, tc.sleeper); got != base {
-			t.Errorf("coroWorkers=%v coroSleeper=%v diverged:\n%s\nbaseline:\n%s",
+			t.Errorf("bridgedWorkers=%v bridgedSleeper=%v diverged:\n%s\nbaseline:\n%s",
 				tc.workers, tc.sleeper, got, base)
 		}
 	}
