@@ -275,10 +275,38 @@ const (
 	idlePass           // pass done; nap if it found nothing
 )
 
+// addIdleCandidate enters a UDP datagram socket on the idle thread's
+// candidate list. Hosts without an idle thread keep no list.
+func (h *Host) addIdleCandidate(s *socket.Socket) {
+	if h.idleProc != nil {
+		h.idleSocks = append(h.idleSocks, s)
+	}
+}
+
+// pruneIdleSocks drops closed sockets from the idle candidate list in
+// place. Only idleHead calls it: the previous pass's snapshot is dead
+// there, so no live snapshot sees the backing array shift.
+func (h *Host) pruneIdleSocks() {
+	live := h.idleSocks[:0]
+	for _, s := range h.idleSocks {
+		if !s.Closed {
+			live = append(live, s)
+		}
+	}
+	clear(h.idleSocks[len(live):]) // let closed sockets be collected
+	h.idleSocks = live
+}
+
 // idleMainStep builds the minimum-priority kernel thread that "checks NI
 // channels and performs protocol processing for any queued UDP packets"
 // so that an otherwise idle CPU never leaves a packet waiting for the
 // next receive system call.
+//
+// A pass walks a snapshot of the UDP candidate list, not every socket
+// the host ever created: the skipped sockets cost no simulated time, so
+// the thread makes the same requests on the same sockets in the same
+// order. A socket created during a pass is first visited in the next
+// one; a socket closed during a pass is skipped when the scan reaches it.
 func (h *Host) idleMainStep() kernel.StepFn {
 	var (
 		pc    int
@@ -295,7 +323,8 @@ func (h *Host) idleMainStep() kernel.StepFn {
 		for {
 			switch pc {
 			case idleHead:
-				socks = h.sockets
+				h.pruneIdleSocks()
+				socks = h.idleSocks
 				i = 0
 				did = false
 				pc = idleIter

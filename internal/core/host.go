@@ -98,6 +98,11 @@ type Host struct {
 
 	ipq *mbuf.Queue // BSD shared IP queue
 
+	// Single-queue receive entries, bound once in NewHost so posting them
+	// per interrupt or per packet allocates no method-value closure.
+	rxStep    func() // the architecture's driver step
+	softintFn func() // bsdSoftint (BSD, Polling)
+
 	// Multi-queue receive state (nil/false on a single-queue host).
 	multiQueue    bool          // per-flow rx steering is on
 	queueCPU      []int         // rx queue -> CPU index
@@ -109,7 +114,14 @@ type Host struct {
 	fragChan *nic.Channel // LRP: fragments that missed the demux mapping
 	twChan   *nic.Channel // NI-LRP: traffic for deallocated TIME_WAIT channels
 
-	sockets   []*socket.Socket
+	// sockets is every socket ever created, closed ones included, in
+	// creation order; statistics only.
+	sockets []*socket.Socket
+	// idleSocks is the idle thread's candidate list: the UDP datagram
+	// sockets (multicast group sockets included), in creation order.
+	// Only hosts with an idle thread fill it; the thread drops closed
+	// entries at the start of each pass.
+	idleSocks []*socket.Socket
 	ephemeral uint16
 	iss       uint32
 	ipid      uint16
@@ -250,18 +262,23 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		if nq > 1 {
 			h.wireQueueRx(cfg.QueueCPU)
 		} else {
+			h.rxStep = h.bsdDriverStep
+			h.softintFn = h.bsdSoftint
 			h.NIC.OnHostIntr = h.bsdHostIntr
 		}
 	case ArchSoftLRP, ArchEarlyDemux:
 		if nq > 1 {
 			h.wireQueueRx(cfg.QueueCPU)
 		} else {
+			h.rxStep = h.demuxDriverStep
 			h.NIC.OnHostIntr = h.demuxHostIntr
 		}
 	case ArchNILRP:
 		h.NIC.OnNICProcess = h.niDemuxProcess
 		h.NIC.OnHostIntr = nil // raised explicitly per channel signal
 	case ArchPolling:
+		h.rxStep = h.pollingDriverStep
+		h.softintFn = h.bsdSoftint
 		h.NIC.OnHostIntr = h.pollingHostIntr
 	}
 

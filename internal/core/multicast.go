@@ -55,6 +55,7 @@ func (h *Host) JoinGroup(p *kernel.Proc, s *socket.Socket, group pkt.Addr, port 
 		gs.Bound = true
 		gs.RecvDgrams = socket.NewDgramQueue(h.CM.SockQueueLimit)
 		h.sockets = append(h.sockets, gs)
+		h.addIdleCandidate(gs)
 		h.pcbs.BindListen(pkt.ProtoUDP, group, port, gs)
 		h.attachChannel(gs) // the single shared NI channel
 		g = &mcastGroup{key: key, gsock: gs}

@@ -26,7 +26,7 @@ import "lrp/internal/kernel"
 func (h *Host) pollingHostIntr() {
 	h.K.PostHW(kernel.WorkItem{
 		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt,
-		Fn:   h.pollingDriverStep,
+		Fn:   h.rxStep,
 	})
 }
 
@@ -38,7 +38,7 @@ func (h *Host) pollingDriverStep() {
 			if swEmpty {
 				cost += h.CM.SWDispatchFixed
 			}
-			h.K.PostSW(kernel.WorkItem{Cost: cost, Fn: h.bsdSoftint})
+			h.K.PostSW(kernel.WorkItem{Cost: cost, Fn: h.softintFn})
 		}
 	}
 	if h.ipq.Len() >= h.CM.PollEnterThresh {
@@ -49,7 +49,7 @@ func (h *Host) pollingDriverStep() {
 		return
 	}
 	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.pollingDriverStep})
+		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.rxStep})
 	} else {
 		h.NIC.IntrDone()
 	}
@@ -102,7 +102,7 @@ func (h *Host) pollPass() {
 				if h.ipq.Enqueue(m) {
 					h.K.PostSW(kernel.WorkItem{
 						Cost: h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty,
-						Fn:   h.bsdSoftint,
+						Fn:   h.softintFn,
 					})
 				}
 			}

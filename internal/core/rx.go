@@ -25,7 +25,7 @@ import (
 func (h *Host) bsdHostIntr() {
 	h.K.PostHW(kernel.WorkItem{
 		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt,
-		Fn:   h.bsdDriverStep,
+		Fn:   h.rxStep,
 	})
 }
 
@@ -42,11 +42,11 @@ func (h *Host) bsdDriverStep() {
 			if swEmpty {
 				cost += h.CM.SWDispatchFixed
 			}
-			h.K.PostSW(kernel.WorkItem{Cost: cost, Fn: h.bsdSoftint})
+			h.K.PostSW(kernel.WorkItem{Cost: cost, Fn: h.softintFn})
 		}
 	}
 	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.bsdDriverStep})
+		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.rxStep})
 	} else {
 		h.NIC.IntrDone()
 	}
@@ -92,7 +92,7 @@ func (h *Host) bsdDriverStepQ(q, ci int, k *kernel.Kernel) {
 func (h *Host) demuxHostIntr() {
 	h.K.PostHW(kernel.WorkItem{
 		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt + h.headDemuxCost(),
-		Fn:   h.demuxDriverStep,
+		Fn:   h.rxStep,
 	})
 }
 
@@ -101,7 +101,7 @@ func (h *Host) demuxDriverStep() {
 		h.demuxDeliver(m)
 	}
 	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCost(), Fn: h.demuxDriverStep})
+		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCost(), Fn: h.rxStep})
 	} else {
 		h.NIC.IntrDone()
 	}

@@ -35,6 +35,7 @@ func (h *Host) NewUDPSocket(owner *kernel.Proc) *socket.Socket {
 	s.RecvDgrams = socket.NewDgramQueue(h.CM.SockQueueLimit)
 	s.Local = h.Addr
 	h.sockets = append(h.sockets, s)
+	h.addIdleCandidate(s)
 	return s
 }
 
