@@ -28,6 +28,9 @@ type HTTPServer struct {
 	Served  metrics.Counter
 	Proc    *kernel.Proc
 	started bool
+	// resp is the response, built once by Start. SendStream copies it into
+	// each connection's send buffer, so every handler shares it.
+	resp []byte
 }
 
 // Start spawns the accept loop; each connection is handled by its own
@@ -42,6 +45,7 @@ func (s *HTTPServer) Start() {
 	if s.PerRequestCompute == 0 {
 		s.PerRequestCompute = 500
 	}
+	s.resp = s.doc()
 	var (
 		pc  int
 		l   *socket.Socket
@@ -111,7 +115,7 @@ func (s *HTTPServer) handleStep(cs *socket.Socket) kernel.StepFn {
 					return
 				}
 			case 1:
-				ss = core.SendStreamOp{Data: s.doc()}
+				ss = core.SendStreamOp{Data: s.resp}
 				pc = 2
 			case 2:
 				if !s.Host.SendStreamStep(p, cs, &ss) {

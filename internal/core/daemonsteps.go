@@ -390,6 +390,7 @@ func (h *Host) idleMainStep() kernel.StepFn {
 				if s.RecvDgrams.Enqueue(d) {
 					s.RcvWait.WakeupAll()
 				} else {
+					h.stats.SockQDrops++
 					d.Release() // queue refused; recycle the buffer now
 				}
 				d = socket.Datagram{}

@@ -68,10 +68,10 @@ func (h *Host) isForeign(b []byte) bool {
 	return dst != h.Addr && !dst.IsMulticast()
 }
 
-// forwardPacket decrements TTL, rebuilds the header, and retransmits.
-// The caller accounts the CPU cost.
+// forwardPacket decrements TTL, rebuilds the header in the transmit
+// scratch buffer, and retransmits. The caller accounts the CPU cost.
 func (h *Host) forwardPacket(b []byte) {
-	ih, hlen, err := pkt.DecodeIPv4(b)
+	ih, _, err := pkt.DecodeIPv4(b)
 	if err != nil {
 		h.fwdStats.FwdErrors++
 		return
@@ -82,12 +82,10 @@ func (h *Host) forwardPacket(b []byte) {
 		h.fwdStats.TTLDrops++
 		return
 	}
-	out := make([]byte, int(ih.TotalLen))
-	copy(out, b[:int(ih.TotalLen)])
+	h.txScratch = append(h.txScratch[:0], b[:int(ih.TotalLen)]...) //lrp:coldalloc amortized: the scratch grows to the largest packet the host sends, then is reused
 	ih.TTL--
-	_ = hlen
-	pkt.EncodeIPv4(out, &ih)
-	if h.ipOutput(nil, nil, out) == nil {
+	pkt.EncodeIPv4(h.txScratch, &ih)
+	if h.ipOutput(nil, nil, h.txScratch) == nil {
 		h.fwdStats.Forwarded++
 	} else {
 		h.fwdStats.FwdErrors++

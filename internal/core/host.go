@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lrp/internal/demux"
 	"lrp/internal/ipv4"
@@ -114,8 +115,8 @@ type Host struct {
 	fragChan *nic.Channel // LRP: fragments that missed the demux mapping
 	twChan   *nic.Channel // NI-LRP: traffic for deallocated TIME_WAIT channels
 
-	// sockets is every socket ever created, closed ones included, in
-	// creation order; statistics only.
+	// sockets holds the live sockets, in creation order; releaseSocket
+	// drops each at its final close.
 	sockets []*socket.Socket
 	// idleSocks is the idle thread's candidate list: the UDP datagram
 	// sockets (multicast group sockets included), in creation order.
@@ -126,8 +127,9 @@ type Host struct {
 	iss       uint32
 	ipid      uint16
 
-	// txScratch is reused for building outgoing UDP packets; ipOutput
-	// copies into pool-owned storage before the next send overwrites it.
+	// txScratch is reused for building outgoing UDP packets and rebuilding
+	// forwarded ones; ipOutput copies into pool-owned storage before it
+	// returns, so the next build may overwrite it.
 	txScratch []byte
 
 	mcast       map[mcastKey]*mcastGroup
@@ -374,8 +376,9 @@ func (h *Host) EnableTrace(capacity int) *trace.Log {
 	return l
 }
 
-// Stats returns a snapshot of drop/delivery accounting, folding in queue
-// counters from the live structures.
+// Stats returns a snapshot of drop/delivery accounting: the host's own
+// counters, which keep the totals of released channels and sockets, plus
+// the queue counters of the live IP queues and NI channels.
 func (h *Host) Stats() Stats {
 	s := h.stats
 	s.IPQDrops = h.ipq.Drops()
@@ -383,15 +386,12 @@ func (h *Host) Stats() Stats {
 		s.IPQDrops += h.ipqs[i].Drops()
 	}
 	for _, so := range h.sockets {
-		if so.NIChan != nil {
-			s.ChannelDrops += so.NIChan.Queue.Drops()
-			s.DisabledDrops += so.NIChan.DisabledDrops
+		// An NI-LRP socket in TIME_WAIT points at the shared twChan,
+		// counted once below: only a channel the socket owns is its own.
+		if ch := so.NIChan; ch != nil && ch.Owner == so {
+			s.ChannelDrops += ch.Queue.Drops()
+			s.DisabledDrops += ch.DisabledDrops
 		}
-		if so.RecvDgrams != nil {
-			s.SockQDrops += so.RecvDgrams.Drops()
-		}
-		s.SockQDrops += so.Stats.SockQDrops
-		s.ProtoDrops += so.Stats.ProtoDrops
 	}
 	if h.fragChan != nil {
 		s.ChannelDrops += h.fragChan.Queue.Drops()
@@ -402,8 +402,28 @@ func (h *Host) Stats() Stats {
 	return s
 }
 
-// Sockets returns all sockets created on the host.
+// Sockets returns the host's live sockets, in creation order. A socket
+// leaves the list at its final close; its drops stay in Stats.
 func (h *Host) Sockets() []*socket.Socket { return append([]*socket.Socket(nil), h.sockets...) }
+
+// releaseSocket forgets a socket at its final close. Nothing is lost from
+// Stats: detachChannel already folded the socket's channel counters into
+// the host's, and its protocol and socket-queue drops count on the host
+// as they happen. Releasing a socket again does nothing.
+func (h *Host) releaseSocket(s *socket.Socket) {
+	if i := slices.Index(h.sockets, s); i >= 0 {
+		h.sockets = slices.Delete(h.sockets, i, i+1)
+	}
+}
+
+// protoDrop counts a packet dropped during protocol processing, on its
+// socket when one is known and on the host, whose total outlives it.
+func (h *Host) protoDrop(s *socket.Socket) {
+	if s != nil {
+		s.Stats.ProtoDrops++
+	}
+	h.stats.ProtoDrops++
+}
 
 // Shutdown stops the host's process goroutines on every CPU.
 func (h *Host) Shutdown() {
@@ -504,13 +524,18 @@ func (h *Host) attachChannel(s *socket.Socket) {
 	}
 }
 
-// detachChannel releases s's NI channel.
+// detachChannel releases s's NI channel, folding its drop counters into
+// the host's first. A socket pointing at the shared TIME_WAIT channel
+// only lets go of it: the host keeps that channel.
 func (h *Host) detachChannel(s *socket.Socket) {
-	if s.NIChan == nil {
+	ch := s.NIChan
+	s.NIChan = nil
+	if ch == nil || ch.Owner != s {
 		return
 	}
-	s.NIChan.Queue.Flush()
-	s.NIChan = nil
+	h.stats.ChannelDrops += ch.Queue.Drops()
+	h.stats.DisabledDrops += ch.DisabledDrops
+	ch.Queue.Flush()
 	h.stats.Channels--
 }
 

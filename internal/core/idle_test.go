@@ -142,8 +142,11 @@ func TestIdleThreadVisitsUDPSocketsInCreationOrder(t *testing.T) {
 	if !slices.Equal(h.idleSocks, wantList) {
 		t.Errorf("idle candidates = %d sockets, want %d (u0, member, group, u3, u5)", len(h.idleSocks), len(wantList))
 	}
-	if n := len(h.Sockets()); n < 400 {
-		t.Errorf("host holds %d sockets, want the 400 dead TCP sockets among them", n)
+	// The 400 aborted TCP sockets, u1 and u2 were released at their final
+	// close: the host lists only its live sockets, in creation order.
+	wantSocks := []*socket.Socket{h.icmpSock, h.fwdSock, u0, member, gsock, u3, u5}
+	if got := h.Sockets(); !slices.Equal(got, wantSocks) {
+		t.Errorf("host lists %d sockets, want the %d live ones (ICMP, forwarding, u0, member, group, u3, u5)", len(got), len(wantSocks))
 	}
 }
 
@@ -202,16 +205,16 @@ func TestSingleQueueRxAllocs(t *testing.T) {
 
 // BenchmarkIdlePass times one empty idle-thread pass — one poll interval
 // of simulated time — on a SOFT-LRP host with one bound UDP socket, with
-// and without a history of dead TCP sockets. The two must cost about the
-// same: a pass visits the UDP candidates, not every socket ever created.
+// and without 10 000 open TCP sockets. The two must cost about the same:
+// a pass visits the UDP candidates, not every socket the host holds.
 func BenchmarkIdlePass(b *testing.B) {
-	for _, dead := range []int{0, 10000} {
-		b.Run(fmt.Sprintf("dead=%d", dead), func(b *testing.B) {
+	for _, open := range []int{0, 10000} {
+		b.Run(fmt.Sprintf("tcp=%d", open), func(b *testing.B) {
 			eng := sim.NewEngine()
 			h := NewHost(eng, netsim.New(eng), Config{Name: "server", Addr: addrB, Arch: ArchSoftLRP})
 			defer h.Shutdown()
-			for i := 0; i < dead; i++ {
-				h.AbortTCP(nil, h.NewTCPSocket(nil))
+			for i := 0; i < open; i++ {
+				h.NewTCPSocket(nil)
 			}
 			if err := h.BindUDP(h.NewUDPSocket(nil), 7); err != nil {
 				b.Fatal(err)

@@ -92,6 +92,7 @@ func (h *Host) LeaveGroup(p *kernel.Proc, s *socket.Socket) {
 		h.pcbs.UnbindListen(pkt.ProtoUDP, g.key.group, g.key.port)
 		h.detachChannel(g.gsock)
 		g.gsock.Closed = true
+		h.releaseSocket(g.gsock)
 		delete(h.mcast, g.key)
 		delete(h.mcastBySock, g.gsock)
 	}

@@ -423,11 +423,7 @@ func aliases(x, b []byte) bool {
 func (h *Host) udpInput(ih *pkt.IPv4Header, seg []byte, arrival int64, sock *socket.Socket, m *mbuf.Mbuf) {
 	uh, err := pkt.DecodeUDP(seg, ih.Src, ih.Dst)
 	if err != nil {
-		if sock != nil {
-			sock.Stats.ProtoDrops++
-		} else {
-			h.stats.ProtoDrops++
-		}
+		h.protoDrop(sock)
 		return
 	}
 	if sock == nil {
@@ -463,13 +459,14 @@ func (h *Host) udpInput(ih *pkt.IPv4Header, seg []byte, arrival int64, sock *soc
 		m.AddRef() // the queue's reference; dropped again if the queue refuses
 	}
 	if !sock.RecvDgrams.Enqueue(d) {
+		h.stats.SockQDrops++
 		if m != nil {
 			m.EndTransfer()
 		}
 		if h.Trace != nil {
 			h.Trace.Add(trace.KindDrop, "%s: socket queue overflow port %d", h.Name, sock.LPort) //lrp:coldalloc vararg boxing; only reached with tracing enabled
 		}
-		return // socket queue overflow (counted on the queue)
+		return // socket queue overflow
 	}
 	if h.Trace != nil {
 		h.Trace.Add(trace.KindDeliver, "%s: udp %d bytes -> port %d", h.Name, len(d.Data), sock.LPort) //lrp:coldalloc vararg boxing; only reached with tracing enabled
@@ -484,11 +481,7 @@ func (h *Host) udpInput(ih *pkt.IPv4Header, seg []byte, arrival int64, sock *soc
 func (h *Host) tcpInput(ih *pkt.IPv4Header, seg []byte, sock *socket.Socket) {
 	th, off, err := pkt.DecodeTCP(seg, ih.Src, ih.Dst)
 	if err != nil {
-		if sock != nil {
-			sock.Stats.ProtoDrops++
-		} else {
-			h.stats.ProtoDrops++
-		}
+		h.protoDrop(sock)
 		return
 	}
 	if sock == nil {

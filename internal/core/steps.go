@@ -353,14 +353,14 @@ func (h *Host) udpLazyInputStep(p, owner *kernel.Proc, s *socket.Socket, m *mbuf
 			whole := fr.whole
 			ih, hlen, err := pkt.DecodeIPv4(whole)
 			if err != nil || ih.Proto != pkt.ProtoUDP {
-				s.Stats.ProtoDrops++
+				h.protoDrop(s)
 				m.EndTransfer()
 				return true
 			}
 			seg := whole[hlen:int(ih.TotalLen)]
 			uh, err := pkt.DecodeUDP(seg, ih.Src, ih.Dst)
 			if err != nil {
-				s.Stats.ProtoDrops++
+				h.protoDrop(s)
 				m.EndTransfer()
 				return true
 			}
@@ -482,6 +482,8 @@ func (h *Host) mcastFanoutStep(p *kernel.Proc, d socket.Datagram, fr *mcastFanou
 				m.Stats.RxDelivered++
 				m.Stats.RxBytes += uint64(len(d.Data))
 				m.RcvWait.WakeupAll()
+			} else {
+				h.stats.SockQDrops++
 			}
 			fr.i++
 			fr.pc = 0

@@ -101,7 +101,9 @@ func (h *Host) AbortTCP(p *kernel.Proc, s *socket.Socket) {
 		if p != nil {
 			p.ComputeSys(h.CM.SyscallFixed + h.CM.TCPOutCost)
 		}
-		c.Abort()
+		c.Abort() // the connection's death releases the socket
+	} else {
+		h.releaseSocket(s)
 	}
 	s.Closed = true
 }

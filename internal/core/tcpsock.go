@@ -117,7 +117,6 @@ func (h *Host) connNotify(c *tcp.Conn, ev tcp.Event) {
 			// arriving packets on this connection are queued at a special
 			// NI channel."
 			h.detachChannel(s)
-			s.NIChan = nil
 			h.redirectToTimeWaitChannel(s)
 		}
 	case tcp.EvReset, tcp.EvClosed:
@@ -158,7 +157,8 @@ func (h *Host) newChildConn(l *tcp.Conn, remote pkt.Addr, rport uint16) *tcp.Con
 	return c
 }
 
-// deallocConn tears down host state when a connection dies.
+// deallocConn tears down host state when a connection dies, and releases
+// its socket: the connection's death is the socket's final close.
 func (h *Host) deallocConn(c *tcp.Conn) {
 	delete(h.timers, c)
 	s := connSocket(c)
@@ -171,11 +171,9 @@ func (h *Host) deallocConn(c *tcp.Conn) {
 	} else if s.Bound && s.RPort != 0 {
 		h.pcbs.UnbindConnected(pkt.ProtoTCP, h.Addr, s.LPort, s.Remote, s.RPort)
 	}
-	if s.NIChan != nil && s.NIChan != h.twChan {
-		h.detachChannel(s)
-	}
-	s.NIChan = nil
+	h.detachChannel(s)
 	s.Closed = true
+	h.releaseSocket(s)
 }
 
 // syncListenChannel enables/disables protocol processing on a listener's

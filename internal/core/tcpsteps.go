@@ -301,6 +301,7 @@ func (h *Host) CloseTCPStep(p *kernel.Proc, s *socket.Socket, fr *CloseTCPOp) bo
 				}
 			} else {
 				s.Closed = true
+				h.releaseSocket(s)
 			}
 			s.AcceptWait.WakeupAll()
 			return true

@@ -116,7 +116,7 @@ func (h *Host) sendFrags(s *socket.Socket, frags [][]byte) error {
 		m := h.Pool.AllocCopy(f)
 		if m == nil {
 			if s != nil {
-				s.Stats.ProtoDrops++
+				h.protoDrop(s)
 			}
 			return ErrNoBufs
 		}
@@ -211,5 +211,6 @@ func (h *Host) CloseUDP(p *kernel.Proc, s *socket.Socket) {
 		h.pcbs.UnbindConnected(pkt.ProtoUDP, h.Addr, s.LPort, s.Remote, s.RPort)
 	}
 	h.detachChannel(s)
+	h.releaseSocket(s)
 	s.RcvWait.WakeupAll()
 }

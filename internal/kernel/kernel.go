@@ -161,7 +161,13 @@ type Kernel struct {
 	// completion so posting interrupt work does not allocate once warm.
 	itemFree []*WorkItem
 
+	// procs lists the processes that have not exited, in creation (after
+	// a migration, arrival) order. A process that exits or migrates away
+	// leaves a nil hole at its slot; dropProc squeezes the holes out, in
+	// order, once they make up half the list, so removal is O(1)
+	// amortized even among 100k live processes.
 	procs []*Proc
+	holes int // nil entries in procs
 	runq  []*Proc
 	seq   uint64
 
@@ -267,9 +273,18 @@ func (k *Kernel) Stats() Stats {
 	return k.stats
 }
 
-// Procs returns all processes ever created on this kernel (including dead
-// ones), in creation order.
-func (k *Kernel) Procs() []*Proc { return append([]*Proc(nil), k.procs...) }
+// Procs returns the processes on this kernel that have not exited, in
+// creation order (a process that migrated here counts from its arrival).
+// A process leaves the list when it exits.
+func (k *Kernel) Procs() []*Proc {
+	out := make([]*Proc, 0, len(k.procs)-k.holes)
+	for _, p := range k.procs {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // CurProc returns the most recently dispatched process (BSD curproc); nil
 // before any process has run.
@@ -352,8 +367,36 @@ func (k *Kernel) newProc(name string, nice int) *Proc {
 		}
 	}
 	p.recomputePrio()
-	k.procs = append(k.procs, p)
+	k.addProc(p)
 	return p
+}
+
+// addProc appends p to the process list.
+func (k *Kernel) addProc(p *Proc) {
+	p.slot = len(k.procs)
+	k.procs = append(k.procs, p)
+}
+
+// dropProc removes p from the process list, leaving a hole at its slot.
+// Once holes make up half the list it is compacted in place, keeping the
+// remaining processes in order.
+func (k *Kernel) dropProc(p *Proc) {
+	k.procs[p.slot] = nil
+	k.holes++
+	if 2*k.holes < len(k.procs) {
+		return
+	}
+	n := 0
+	for _, q := range k.procs {
+		if q != nil {
+			q.slot = n
+			k.procs[n] = q
+			n++
+		}
+	}
+	clear(k.procs[n:])
+	k.procs = k.procs[:n]
+	k.holes = 0
 }
 
 // Shutdown terminates all live process goroutines so a finished simulation
@@ -365,7 +408,7 @@ func (k *Kernel) Shutdown() {
 		k.burstEv = sim.Event{}
 	}
 	for _, p := range k.procs {
-		if p.state == stateDead {
+		if p == nil || p.state == stateDead {
 			continue
 		}
 		if !p.timeoutEv.IsZero() {
@@ -705,6 +748,7 @@ func (k *Kernel) applyRequest(p *Proc) {
 		if p.crash != nil {
 			panic(fmt.Sprintf("kernel: process %q crashed: %v", p.Name, p.crash)) //lrp:coldalloc crash path
 		}
+		p.reap()
 	default:
 		panic(fmt.Sprintf("kernel: process %q issued unknown request %d", p.Name, p.reqKind)) //lrp:coldalloc assertion path
 	}

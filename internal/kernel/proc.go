@@ -100,6 +100,7 @@ type Proc struct {
 	prio      int
 	estcpu    int64 // decaying CPU usage, µs
 	seq       uint64
+	slot      int // index in K.procs
 	wq        *WaitQ
 	timedOut  bool
 	timeoutEv sim.Event
@@ -253,6 +254,17 @@ func (p *Proc) recomputePrio() {
 	p.prio = pr
 }
 
+// reap forgets an exited process: it leaves the process list of p.K, the
+// kernel it last ran on (after a migration, not the one that created it),
+// and drops its body — the step closure and, for a Spawn process, the
+// bridge holding the body — so nothing the body referenced stays
+// reachable through the kernel.
+func (p *Proc) reap() {
+	p.K.dropProc(p)
+	p.step = nil
+	p.bridge = nil
+}
+
 // pendingTarget resolves whose account the pending work bills to.
 func (p *Proc) pendingTarget() *Proc {
 	if p.chargeTo != nil {
@@ -331,14 +343,9 @@ func (p *Proc) MigrateTo(dst *Kernel, cost int64) bool {
 		return false
 	}
 	src.removeRunnable(p)
-	for i, q := range src.procs {
-		if q == p {
-			src.procs = append(src.procs[:i], src.procs[i+1:]...)
-			break
-		}
-	}
+	src.dropProc(p)
 	p.K = dst
-	dst.procs = append(dst.procs, p)
+	dst.addProc(p)
 	if cost > 0 {
 		p.pendingWork += cost
 	}
@@ -350,7 +357,7 @@ func (p *Proc) MigrateTo(dst *Kernel, cost int64) bool {
 // filter with load average ~1) to every process and refreshes priorities.
 func (k *Kernel) decayUsage() {
 	for _, p := range k.procs {
-		if p.state == stateDead {
+		if p == nil || p.state == stateDead {
 			continue
 		}
 		p.estcpu = p.estcpu * 2 / 3

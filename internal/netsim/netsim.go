@@ -30,6 +30,7 @@ type Stats struct {
 
 // port is one host attachment.
 type port struct {
+	nw           *Network
 	nic          *nic.NIC
 	addr         pkt.Addr
 	bwBytesPerUs float64 // link bandwidth
@@ -45,6 +46,12 @@ type port struct {
 	// order and take the engine's wheel instead.
 	txLane *sim.Lane
 	rxLane *sim.Lane
+	// txM and txDone hold the packet on the wire and the NIC's completion
+	// callback. A NIC transmits one packet at a time, so one slot per port
+	// suffices, and txFn, the completion event, is bound once in Attach.
+	txM    *mbuf.Mbuf
+	txDone func()
+	txFn   func()
 	// rcDst/rcVia cache the last unicast routing decision for packets
 	// leaving this attachment, so steady flows skip the per-packet map
 	// lookups. Invalidated whenever the topology changes.
@@ -166,6 +173,7 @@ func (nw *Network) Attach(n *nic.NIC, addr pkt.Addr, bandwidthBps int64, propDel
 		panic(fmt.Sprintf("netsim: duplicate attachment for %v", addr))
 	}
 	p := &port{
+		nw:           nw,
 		nic:          n,
 		addr:         addr,
 		bwBytesPerUs: float64(bandwidthBps) / 8 / 1e6,
@@ -173,16 +181,35 @@ func (nw *Network) Attach(n *nic.NIC, addr pkt.Addr, bandwidthBps int64, propDel
 		txLane:       nw.Eng.NewLane(),
 		rxLane:       nw.Eng.NewLane(),
 	}
+	p.txFn = p.txComplete
 	nw.ports[addr] = p
 	nw.order = append(nw.order, p)
 	nw.routesChanged()
-	n.Transmit = func(m *mbuf.Mbuf, done func()) {
-		st := nw.serializationTime(p, m.Len())
-		p.txLane.PostAfter(st, func() {
-			done()
-			nw.route(p, m.Data, m, p.propDelay)
-		})
+	n.Transmit = p.transmit
+}
+
+// transmit is the NIC's Transmit hook: it puts m on the wire for its
+// serialization time, parking m and done in the port's transmit slot.
+//
+//lrp:hotpath
+func (p *port) transmit(m *mbuf.Mbuf, done func()) {
+	if p.txM != nil {
+		panic("netsim: " + p.nic.Name + " started a transmit with one still on the wire")
 	}
+	p.txM, p.txDone = m, done
+	p.txLane.PostAfter(p.nw.serializationTime(p, m.Len()), p.txFn)
+}
+
+// txComplete fires when the packet has left the wire. It empties the slot
+// before calling done, which may start the NIC's next transmit and refill
+// it, and then routes the packet.
+//
+//lrp:hotpath
+func (p *port) txComplete() {
+	m, done := p.txM, p.txDone
+	p.txM, p.txDone = nil, nil
+	done()
+	p.nw.route(p, m.Data, m, p.propDelay)
 }
 
 // Stats returns a snapshot of network counters.

@@ -7,6 +7,7 @@ import (
 	"lrp/internal/mbuf"
 	"lrp/internal/nic"
 	"lrp/internal/pkt"
+	"lrp/internal/race"
 	"lrp/internal/sim"
 )
 
@@ -45,6 +46,34 @@ func TestDelivery(t *testing.T) {
 	// wire time + 10µs.
 	if m.Arrival < 10 {
 		t.Fatalf("arrived at %d, faster than propagation delay", m.Arrival)
+	}
+}
+
+// TestTransmitHopAllocs pins host transmit at zero allocations: a warm
+// datagram through one NIC's transmit, the wire and one hop into another
+// NIC's ring allocates nothing. The NIC binds its completion callback
+// once, and each port keeps its packet on the wire in a single slot.
+func TestTransmitHopAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	eng, _, na, nb := twoHosts(t)
+	pool := mbuf.NewPool(0)
+	b := pkt.UDPPacket(addrA, addrB, 1, 7, 1, 64, []byte("x"), true)
+	send := func() {
+		na.Send(pool.AllocCopy(b))
+		eng.Run()
+		m := nb.RxDequeue()
+		if m == nil {
+			t.Fatal("B received nothing")
+		}
+		m.Free()
+	}
+	for i := 0; i < 10; i++ {
+		send() // warm the pools, free lists and lanes
+	}
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Errorf("transmit plus one hop allocates %v per packet, want 0", n)
 	}
 }
 

@@ -131,6 +131,9 @@ type NIC struct {
 
 	ifq    *mbuf.Queue
 	txBusy bool
+	// txDoneFn is txDone bound once, so each transmit hands Transmit the
+	// same func value instead of allocating a method value.
+	txDoneFn func()
 
 	stats Stats
 }
@@ -185,6 +188,7 @@ func New(eng *sim.Engine, cfg Config) *NIC {
 	for i := range n.rxq {
 		n.rxq[i].ring = mbuf.NewQueue(cfg.RxRingSize)
 	}
+	n.txDoneFn = n.txDone
 	n.nicStep = func() {
 		m := n.nicPend[n.nicHead]
 		n.nicPend[n.nicHead] = nil
@@ -370,6 +374,8 @@ func (n *NIC) Send(m *mbuf.Mbuf) {
 func (n *NIC) IfqLen() int { return n.ifq.Len() }
 
 // kickTx starts transmitting if the link is idle.
+//
+//lrp:hotpath
 func (n *NIC) kickTx() {
 	if n.txBusy {
 		return
@@ -389,7 +395,7 @@ func (n *NIC) kickTx() {
 		n.txDone()
 		return
 	}
-	n.Transmit(m, n.txDone)
+	n.Transmit(m, n.txDoneFn)
 }
 
 func (n *NIC) txDone() {

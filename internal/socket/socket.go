@@ -183,9 +183,6 @@ type Stats struct {
 	RxBytes     uint64
 	TxPackets   uint64
 	TxBytes     uint64
-	// SockQDrops counts packets discarded at the socket queue (BSD) —
-	// distinct from channel-queue drops, which live on the NI channel.
-	SockQDrops uint64
 	// ProtoDrops counts packets discarded during protocol processing
 	// (bad checksum, no connection state, etc.).
 	ProtoDrops uint64
