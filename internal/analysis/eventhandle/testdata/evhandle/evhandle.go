@@ -61,27 +61,3 @@ func resetIfNever(ev sim.Event) sim.Event {
 	}
 	return ev
 }
-
-// laneRearmBroken shows the same stale-handle bug through a lane: Post and
-// PostAfter hand back ordinary sim.Event handles, so an IsZero re-arm
-// guard is just as dead as with Engine.After.
-func laneRearmBroken(l *sim.Lane, ev sim.Event) sim.Event {
-	if ev.IsZero() { // want `IsZero\(\) gates re-scheduling`
-		ev = l.PostAfter(10, func() {})
-	}
-	return ev
-}
-
-// laneRearmActive is the correct guard for a lane-resident event.
-func laneRearmActive(l *sim.Lane, ev sim.Event) sim.Event {
-	if !ev.Active() {
-		ev = l.PostAfter(10, func() {})
-	}
-	return ev
-}
-
-func lanePointers(l *sim.Lane) {
-	ev := l.Post(10, func() {})
-	p := &ev // want `taking the address of a sim\.Event`
-	_ = p
-}

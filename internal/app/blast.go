@@ -41,9 +41,6 @@ type BlastSource struct {
 	stopped bool
 	ipid    uint16
 	pool    *mbuf.Pool
-	// lane carries the source's self-chained emission events: at most one
-	// is outstanding, so posting is a lane append, not a heap sift.
-	lane *sim.Lane
 	// emit is the single reusable firing thunk; rebuilding it per packet
 	// would allocate a closure on every emission.
 	emit func()
@@ -58,7 +55,6 @@ func (b *BlastSource) Start() {
 		b.Jitter = 0.3
 	}
 	b.pool = mbuf.NewPool(genPoolLimit)
-	b.lane = b.Net.Eng.NewLane()
 	b.emit = func() {
 		if b.stopped {
 			return
@@ -87,7 +83,7 @@ func (b *BlastSource) schedule() {
 	} else {
 		gap = b.Rng.Jitter(gap, b.Jitter)
 	}
-	b.lane.PostAfter(gap, b.emit)
+	b.Net.Eng.After(gap, b.emit)
 }
 
 // BlastSink is the receiving process: it reads datagrams as fast as it can

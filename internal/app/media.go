@@ -33,9 +33,6 @@ type MediaSource struct {
 	stopped bool
 	ipid    uint16
 	pool    *mbuf.Pool
-	// lane carries the stream's self-chained frame events: at most one is
-	// outstanding, so posting is a lane append, not a heap sift.
-	lane *sim.Lane
 	// emit is the single reusable firing thunk; rebuilding it per frame
 	// would allocate a closure on every emission.
 	emit func()
@@ -50,7 +47,6 @@ func (m *MediaSource) Start() {
 		m.Interval = 33_333
 	}
 	m.pool = mbuf.NewPool(genPoolLimit)
-	m.lane = m.Net.Eng.NewLane()
 	m.emit = func() {
 		if m.stopped {
 			return
@@ -70,7 +66,7 @@ func (m *MediaSource) schedule() {
 	if m.stopped {
 		return
 	}
-	m.lane.PostAfter(m.Interval, m.emit)
+	m.Net.Eng.After(m.Interval, m.emit)
 }
 
 // MediaPlayer receives the stream and records inter-frame delivery

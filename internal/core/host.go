@@ -161,10 +161,13 @@ type Host struct {
 
 // connTimers tracks a connection's armed timers with generation counters,
 // so a timer that fires but whose processing is still queued (e.g. behind
-// the APP thread) can be invalidated by a later disarm.
+// the APP thread) can be invalidated by a later disarm. expire holds each
+// timer's expiry thunk, built on its first arm and reused by every later
+// one.
 type connTimers struct {
-	ev  [tcp.NumTimers]sim.Event
-	gen [tcp.NumTimers]uint64
+	ev     [tcp.NumTimers]sim.Event
+	gen    [tcp.NumTimers]uint64
+	expire [tcp.NumTimers]func()
 }
 
 // appWork is one unit of work for the asynchronous protocol processing

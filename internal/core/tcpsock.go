@@ -45,13 +45,18 @@ func (h *Host) armConnTimer(c *tcp.Conn, t tcp.Timer, delay int64) {
 		ct = &connTimers{}
 		h.timers[c] = ct
 	}
+	if ct.expire[t] == nil {
+		// Every arm and every disarm cancels the pending expiry before it
+		// bumps gen, so a firing expiry always reads its own arm's
+		// generation.
+		ct.expire[t] = func() {
+			ct.ev[t] = sim.Event{}
+			h.dispatchTimer(c, t, ct.gen[t])
+		}
+	}
 	h.Eng.Cancel(ct.ev[t])
 	ct.gen[t]++
-	gen := ct.gen[t]
-	ct.ev[t] = h.Eng.After(delay, func() {
-		ct.ev[t] = sim.Event{}
-		h.dispatchTimer(c, t, gen)
-	})
+	ct.ev[t] = h.Eng.After(delay, ct.expire[t])
 }
 
 func (h *Host) disarmConnTimer(c *tcp.Conn, t tcp.Timer) {

@@ -132,9 +132,6 @@ func InstallNIC(eng *sim.Engine, n *nic.NIC, pool *mbuf.Pool, plan NICPlan) (*Ho
 	}
 	for i := range plan.SpuriousIntrs {
 		f := plan.SpuriousIntrs[i]
-		// Each storm is a self-chained strictly-forward sequence with one
-		// event outstanding, so it rides its own engine lane.
-		lane := eng.NewLane()
 		var fire func()
 		fire = func() {
 			if f.End != 0 && eng.Now() >= f.End {
@@ -145,13 +142,9 @@ func InstallNIC(eng *sim.Engine, n *nic.NIC, pool *mbuf.Pool, plan NICPlan) (*Ho
 				h.Trace.Add(trace.KindFault, "spurious interrupt") //lrp:coldalloc vararg boxing; only reached with tracing enabled
 			}
 			n.RaiseIntr()
-			lane.Post(eng.Now()+sim.Time(f.PeriodUs), fire)
+			eng.After(f.PeriodUs, fire)
 		}
-		start := f.Start
-		if start < eng.Now() {
-			start = eng.Now()
-		}
-		lane.Post(start, fire)
+		at(f.Start, fire)
 	}
 	for i := range plan.PoolPressure {
 		f := plan.PoolPressure[i]

@@ -178,12 +178,6 @@ type Kernel struct {
 	burstStart sim.Time
 	idleStart  sim.Time
 
-	// burstLane feeds this kernel's burst-completion events to the engine:
-	// at most one is outstanding, and it is cancelled on preemption before
-	// the next is posted, so the lane's FIFO-order contract holds trivially
-	// and posting is a plain list append instead of a heap sift.
-	burstLane *sim.Lane
-
 	// burstDoneFn caches the onBurstDone method value so opening a burst
 	// does not allocate a closure.
 	burstDoneFn func()
@@ -215,7 +209,6 @@ type Kernel struct {
 func New(eng *sim.Engine, name string) *Kernel {
 	k := &Kernel{Eng: eng, Name: name, idleStart: eng.Now()}
 	k.burstDoneFn = k.onBurstDone
-	k.burstLane = eng.NewLane()
 	k.startClocks()
 	return k
 }
@@ -627,7 +620,7 @@ func (k *Kernel) openItemBurst(b band, it *WorkItem) {
 	if cost < 0 {
 		cost = 0
 	}
-	k.burstEv = k.burstLane.PostAfter(cost, k.burstDoneFn)
+	k.burstEv = k.Eng.After(cost, k.burstDoneFn)
 }
 
 // openProcBurst starts executing p's pending work, applying context-switch
@@ -661,7 +654,7 @@ func (k *Kernel) openProcBurst(p *Proc) {
 	k.cur = bandProc
 	k.curRunProc = p
 	k.burstStart = k.Eng.Now()
-	k.burstEv = k.burstLane.PostAfter(p.pendingWork, k.burstDoneFn)
+	k.burstEv = k.Eng.After(p.pendingWork, k.burstDoneFn)
 }
 
 // onBurstDone fires when the current burst's work is exhausted.

@@ -70,7 +70,7 @@ func TestTransmitHopAllocs(t *testing.T) {
 		m.Free()
 	}
 	for i := 0; i < 10; i++ {
-		send() // warm the pools, free lists and lanes
+		send() // warm the pools and free lists
 	}
 	if n := testing.AllocsPerRun(100, send); n != 0 {
 		t.Errorf("transmit plus one hop allocates %v per packet, want 0", n)

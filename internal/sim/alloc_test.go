@@ -35,47 +35,6 @@ func TestEngineHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLaneHotPathZeroAllocs pins lane post+fire — the path every NIC ring
-// drain, kernel burst chain and traffic generator rides — at zero
-// allocations, both for a hot-array-resident lane and for one that lives
-// in the spill heap.
-func TestLaneHotPathZeroAllocs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation counts are not stable under the race detector")
-	}
-	e := NewEngine()
-	fn := func() {}
-	var lanes []*Lane
-	for i := 0; i < laneHotMax+2; i++ {
-		lanes = append(lanes, e.NewLane())
-	}
-	hot, spilled := lanes[0], lanes[laneHotMax+1]
-	// Warm up: free list, hot array, spill heap. Keep every lane non-empty
-	// briefly so the spilled lane really spills.
-	for _, l := range lanes {
-		l.Post(e.Now(), fn)
-	}
-	if spilled.hidx < 0 {
-		t.Fatalf("test setup: lane %d should be spill-resident", laneHotMax+1)
-	}
-	e.Run()
-	for _, l := range []*Lane{hot, spilled} {
-		l := l
-		if n := testing.AllocsPerRun(100, func() {
-			l.Post(e.Now(), fn)
-			e.Step()
-		}); n != 0 {
-			t.Errorf("lane Post+Step allocates %v per op, want 0", n)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			ev := l.Post(e.Now()+50, fn)
-			e.Cancel(ev)
-		}); n != 0 {
-			t.Errorf("lane Post+Cancel allocates %v per op, want 0", n)
-		}
-	}
-}
-
 // TestWheelCascadeZeroAllocs pins the tier cascade: an event far enough
 // out to land in a high wheel tier migrates down through the tiers as the
 // cursor advances, and none of that movement may allocate.
@@ -95,17 +54,5 @@ func TestWheelCascadeZeroAllocs(t *testing.T) {
 		e.Step()
 	}); n != 0 {
 		t.Errorf("cascading schedule+fire allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		e.PostBatch([]Post{
-			{At: e.Now() + 10, Fn: fn},
-			{At: e.Now() + 10, Fn: fn},
-			{At: e.Now() + 20, Fn: fn},
-		})
-		e.Step()
-		e.Step()
-		e.Step()
-	}); n != 0 {
-		t.Errorf("PostBatch of 3 allocates %v per run, want 0", n)
 	}
 }

@@ -17,7 +17,7 @@ func BenchmarkEngineAtFire(b *testing.B) {
 }
 
 // BenchmarkEngineDeepQueue measures scheduling and firing against a queue
-// that already holds many pending events (heap reheapification cost).
+// that already holds many pending events, parked in a higher wheel tier.
 func BenchmarkEngineDeepQueue(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -45,28 +45,6 @@ func BenchmarkEngineCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkPostBatch measures batched posting: 8 events handed to the
-// engine in one call (the NIC ring-drain pattern) and then fired. ns/op
-// covers the whole batch, so divide by 8 to compare against the
-// single-event rows.
-func BenchmarkPostBatch(b *testing.B) {
-	e := NewEngine()
-	fn := func() {}
-	var batch [8]Post
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := e.Now()
-		for j := range batch {
-			batch[j] = Post{At: now + Time(j), Fn: fn}
-		}
-		e.PostBatch(batch[:])
-		for range batch {
-			e.Step()
-		}
-	}
-}
-
 // BenchmarkWheelCascade measures the worst-case timer-wheel path: every
 // event lands at tier-2 distance, so firing it first migrates it down
 // through tier 1 and into tier 0 as the cursor advances.
@@ -77,21 +55,6 @@ func BenchmarkWheelCascade(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.At(e.Now()+(1<<(2*tierBits))+3, fn)
-		e.Step()
-	}
-}
-
-// BenchmarkLanePostFire measures the per-source FIFO fast path: post to a
-// hot-array-resident lane, fire, repeat. This is the path every NIC
-// packet and kernel burst completion rides.
-func BenchmarkLanePostFire(b *testing.B) {
-	e := NewEngine()
-	l := e.NewLane()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Post(e.Now(), fn)
 		e.Step()
 	}
 }

@@ -6,20 +6,12 @@
 // tie-breaking), which keeps whole-system runs deterministic and
 // reproducible.
 //
-// Internally the pending set is a two-tier scheduler rather than one global
-// priority heap (see wheel.go and lane.go):
-//
-//   - a hierarchical timer wheel — numTiers tiers of tierSlots power-of-two
-//     slot buckets — holds future-dated events with O(1) amortized insert
-//     and expire; an overflow 4-ary heap holds the rare event beyond the
-//     wheel's span and cascades back into the wheel as the cursor advances;
-//   - per-source FIFO lanes (Lane) hold the dominant near-term traffic —
-//     NIC ring drain, kernel burst chains, link serialization — where each
-//     producer's posts are already in time order, so insertion is a plain
-//     list append with no sifting at all;
-//   - a tiny top-level merge (peek) picks the global minimum across the
-//     lanes, the wheel and the overflow heap by exact (when, seq) compare,
-//     preserving the engine's total order bit-for-bit.
+// The pending set is one hierarchical timer wheel (wheel.go): numTiers
+// tiers of tierSlots power-of-two slot buckets give O(1) amortized insert
+// and expire, and a 4-ary overflow heap holds the rare event the wheel
+// cannot place — one beyond the wheel's span, or one scheduled behind a
+// cursor that a look-ahead (NextEventTime, RunUntil) advanced past Now.
+// Every event, whatever its producer, enters through At or After.
 //
 // All higher layers of the LRP reproduction — the simulated kernel, NICs,
 // links, protocols and applications — advance time exclusively through this
@@ -54,7 +46,7 @@ const MaxTime Time = math.MaxInt64
 
 // event is the pooled representation of one scheduled callback. Storage is
 // reused across schedulings; gen distinguishes incarnations. An event is
-// resident in exactly one place while pending: a wheel bucket or lane
+// resident in exactly one place while pending: a wheel bucket
 // (list != nil) or the overflow heap (idx >= 0).
 type event struct {
 	when Time
@@ -63,7 +55,7 @@ type event struct {
 	idx  int // overflow-heap index; -1 when not heap-resident
 	fn   func()
 
-	// Intrusive doubly-linked membership in a wheel bucket or lane, so
+	// Intrusive doubly-linked membership in a wheel bucket, so
 	// cancellation unlinks in O(1) without searching.
 	list       *evList
 	prev, next *event
@@ -106,28 +98,20 @@ type Engine struct {
 	seq  uint64
 	free []*event // retired events awaiting reuse
 
-	// The pending set: hierarchical timer wheel + overflow heap (wheel.go)
-	// and per-source FIFO lanes (lane.go).
+	// The pending set (wheel.go): a hierarchical timer wheel and its
+	// overflow heap.
 	wpos      Time // wheel cursor: every wheel-resident event has when >= wpos
 	tiers     [numTiers][tierSlots]evList
 	bitmap    [numTiers][tierSlots / 64]uint64 // occupancy, one bit per slot
 	tierCount [numTiers]int                    // events resident per tier
 	tierMask  uint8                            // bit t set iff tierCount[t] > 0
 	overflow  eventHeap                        // beyond wheel span, or behind the cursor
-	lanes     []*Lane                          // registry of every lane created on this engine
-	laneHot   []laneSlot                       // active lanes, unsorted dense array of head keys
-	laneHeap  []laneSlot                       // spill beyond laneHotMax: 4-ary heap by head key
 
-	// peeked caches the winner of the last merge; nil means unknown. It is
-	// invalidated by firing, by cancelling the cached event, and by any
-	// insert that orders before it.
-	peeked *event
-
-	live    int // pending events across all structures
+	live    int // pending events
 	stopped bool
 
-	// processed counts events that have fired, for diagnostics and for the
-	// runaway-loop guard in RunUntil.
+	// processed counts events that have fired, for Processed and for
+	// RunUntil's return value.
 	processed uint64
 }
 
@@ -149,13 +133,19 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events that have fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// alloc takes an event from the free list (or allocates on a miss) and
-// stamps it with the next sequence number. Every pending event gets exactly
-// one sequence number, in scheduling-call order — this is the FIFO
-// tie-break that fixes the engine's total order.
+// At schedules fn to run at absolute time t. Scheduling in the past (t <
+// Now) panics: it always indicates a logic error in a simulation layer.
+//
+// The event takes storage from the free list (allocating only on a miss)
+// and the next sequence number. Every pending event gets exactly one
+// sequence number, in scheduling-call order — this is the FIFO tie-break
+// that fixes the engine's total order.
 //
 //lrp:hotpath
-func (e *Engine) alloc(t Time, fn func()) *event {
+func (e *Engine) At(t Time, fn func()) Event {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+	}
 	var ev *event
 	if n := len(e.free); n > 0 {
 		// The stale pointer left beyond len keeps at most one pooled (and
@@ -170,24 +160,8 @@ func (e *Engine) alloc(t Time, fn func()) *event {
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	return ev
-}
-
-// At schedules fn to run at absolute time t. Scheduling in the past (t <
-// Now) panics: it always indicates a logic error in a simulation layer.
-//
-//lrp:hotpath
-func (e *Engine) At(t Time, fn func()) Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	ev := e.alloc(t, fn)
 	e.place(ev)
 	e.live++
-	if p := e.peeked; p != nil && t < p.when {
-		// The new event beats the cached winner, so it beats everything.
-		e.peeked = ev
-	}
 	return Event{e: ev, gen: ev.gen, when: t}
 }
 
@@ -203,52 +177,6 @@ func (e *Engine) After(d int64, fn func()) Event {
 	return e.At(e.now+d, fn)
 }
 
-// Post is one entry of a PostBatch call.
-type Post struct {
-	At Time
-	Fn func()
-}
-
-// PostBatch schedules a batch of events whose times are non-decreasing,
-// amortizing queue placement across the batch: consecutive entries for the
-// same instant append to the bucket located for the first of them, so a
-// burst of k same-time events costs one placement, not k. Times before Now
-// or out of order panic. Entries receive consecutive sequence numbers in
-// slice order, exactly as k separate At calls would, so batching never
-// changes the firing order. No handles are returned: batched events cannot
-// be individually cancelled.
-//
-//lrp:hotpath
-func (e *Engine) PostBatch(posts []Post) {
-	var bucket *evList
-	var first *event
-	var when Time
-	for i := range posts {
-		p := &posts[i]
-		if p.At < e.now {
-			panic(fmt.Sprintf("sim: scheduling event at %d before now %d", p.At, e.now))
-		}
-		if i > 0 && p.At < when {
-			panic(fmt.Sprintf("sim: PostBatch times out of order (%d after %d)", p.At, when))
-		}
-		ev := e.alloc(p.At, p.Fn)
-		if i == 0 {
-			first = ev
-		}
-		if bucket != nil && p.At == when {
-			e.bucketAppend(bucket, ev)
-		} else {
-			bucket = e.place(ev)
-			when = p.At
-		}
-		e.live++
-	}
-	if p := e.peeked; p != nil && first != nil && first.when < p.when {
-		// The batch head beats the cached winner, so it beats everything.
-		e.peeked = first
-	}
-}
-
 // Cancel removes a pending event from the queue. Cancelling a zero handle,
 // or one whose event has already fired or been cancelled, is a no-op, so
 // callers may cancel unconditionally. Cancellation is eager — the event's
@@ -260,37 +188,17 @@ func (e *Engine) Cancel(ev Event) {
 	if !ev.Active() {
 		return
 	}
-	x := ev.e
-	if e.peeked == x {
-		e.peeked = nil
-	}
-	if x.idx >= 0 {
-		e.overflow.remove(x.idx)
-	} else {
-		l := x.list
-		wasHead := l.head == x
-		l.unlink(x)
-		if l.tier >= 0 {
-			e.tierDec(l.tier)
-			if l.head == nil {
-				e.bitmap[l.tier][l.slot>>6] &^= 1 << uint(l.slot&63)
-			}
-		} else if lane := l.lane; l.head == nil {
-			e.laneDrained(lane)
-		} else if wasHead {
-			e.laneHeadChanged(lane, l.head)
-		}
-	}
+	e.detach(ev.e)
 	e.live--
-	e.retire(x)
+	e.retire(ev.e)
 }
 
 // retire returns a fired or cancelled event to the free list, bumping its
 // generation so outstanding handles go stale. This is the single point
-// that clears an event's links: unlink and the heap's pop/remove leave
-// the detached event's fields stale to save duplicate write barriers
-// (idx is already -1 for every non-heap resident and is reset by every
-// heap removal).
+// that clears an event's links: unlink and the heap's remove leave the
+// detached event's fields stale to save duplicate write barriers (idx is
+// already -1 for every non-heap resident and is reset by every heap
+// removal).
 //
 //lrp:hotpath
 func (e *Engine) retire(ev *event) {
@@ -313,19 +221,18 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	if hint := e.unscheduleHead(ev); hint != nil {
-		// The fired event's tier-0 bucket still has members (same instant,
-		// next seq): the next winner is a 2-way compare, no scan needed.
-		if lr := e.laneRoot(); lr != nil && less(lr, hint) {
-			hint = lr
-		}
-		if r := e.overflow.root(); r != nil && less(r, hint) {
-			hint = r
-		}
-		e.peeked = hint
-	} else {
-		e.peeked = nil
-	}
+	e.fire(ev)
+	return true
+}
+
+// fire runs ev, the event peek just returned: it leaves the pending set,
+// the clock (and, when it lies ahead, the wheel cursor) moves to its time,
+// and its storage is retired before the callback runs, so the callback may
+// schedule into it.
+//
+//lrp:hotpath
+func (e *Engine) fire(ev *event) {
+	e.detach(ev)
 	e.now = ev.when
 	if ev.when > e.wpos {
 		e.advance(ev.when)
@@ -335,53 +242,6 @@ func (e *Engine) Step() bool {
 	e.live--
 	e.processed++
 	fn()
-	return true
-}
-
-// tierDec decrements a tier's census, clearing its occupancy bit in the
-// tier mask on the last resident.
-//
-//lrp:hotpath
-func (e *Engine) tierDec(t int32) {
-	e.tierCount[t]--
-	if e.tierCount[t] == 0 {
-		e.tierMask &^= 1 << uint(t)
-	}
-}
-
-// unscheduleHead detaches the merge winner from whichever structure holds
-// it. The winner is a lane head, the overflow-heap root, or a wheel-bucket
-// member — a tier-0 head when peek derived it, but possibly a tier >= 1
-// resident when the At/Post/PostBatch fast path cached a fresh insert that
-// beat the previous winner. Only a surviving tier-0 bucket yields a hint:
-// its members all share one instant and append in seq order, so the new
-// head is still the exact wheel minimum. Tier >= 1 bucket lists are
-// append-ordered, not time-ordered, so firing out of one must return nil
-// and let the next peek re-derive the minimum through the cascade loop.
-//
-//lrp:hotpath
-func (e *Engine) unscheduleHead(ev *event) (wheelHint *event) {
-	if ev.idx >= 0 {
-		e.overflow.pop()
-		return nil
-	}
-	l := ev.list
-	l.unlink(ev)
-	if l.tier >= 0 {
-		e.tierDec(l.tier)
-		if l.head == nil {
-			e.bitmap[l.tier][l.slot>>6] &^= 1 << uint(l.slot&63)
-		} else if l.tier == 0 {
-			return l.head
-		}
-		return nil
-	}
-	if l.head != nil {
-		e.laneHeadChanged(l.lane, l.head)
-	} else {
-		e.laneDrained(l.lane)
-	}
-	return nil
 }
 
 // Run fires events until the queue is empty or Stop is called.
@@ -396,10 +256,11 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.processed
 	for !e.stopped {
-		if ev := e.peek(); ev == nil || ev.when > deadline {
+		ev := e.peek()
+		if ev == nil || ev.when > deadline {
 			break
 		}
-		e.Step()
+		e.fire(ev)
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -434,15 +295,13 @@ func (e *Engine) NextEventTime() Time {
 
 // eventHeap is an inlined 4-ary min-heap ordered by (when, seq), used for
 // the overflow tier: events beyond the wheel's span, or (rarely) scheduled
-// behind the wheel cursor after a speculative cascade. A 4-ary layout
-// halves tree depth versus binary, and the inlined sift loops avoid
+// behind a wheel cursor that a look-ahead peek advanced past Now. A 4-ary
+// layout halves tree depth versus binary, and the inlined sift loops avoid
 // container/heap's interface boxing on every operation — the reason
 // scheduling used to allocate.
 type eventHeap struct {
 	a []*event
 }
-
-func (h *eventHeap) len() int { return len(h.a) }
 
 // root returns the minimum event without removing it, or nil when empty.
 func (h *eventHeap) root() *event {
@@ -467,23 +326,6 @@ func (h *eventHeap) push(ev *event) {
 	ev.idx = len(h.a)
 	h.a = append(h.a, ev) //lrp:coldalloc heap array grows to high-water, then stabilizes
 	h.up(ev.idx)
-}
-
-// pop removes and returns the minimum event.
-//
-//lrp:hotpath
-func (h *eventHeap) pop() *event {
-	ev := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
-	h.a[0].idx = 0
-	h.a[n] = nil
-	h.a = h.a[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	ev.idx = -1
-	return ev
 }
 
 // remove deletes the event at heap index i.

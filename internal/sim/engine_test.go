@@ -178,24 +178,24 @@ func TestEngineNextEventTime(t *testing.T) {
 	}
 }
 
-// Regression: a cached merge winner living in a tier >= 1 wheel bucket
-// must not be followed by that bucket's (append-ordered) list head. The
-// sequence below caches the lane head via NextEventTime, then inserts
-// descending times that each become the cached winner and land in one
-// tier-1 bucket in list order 950, 920, 900; firing 900 out of it must
-// re-derive the minimum (920), not trust the list head (950).
-func TestEngineCachedWinnerInHighTierBucket(t *testing.T) {
+// A look-ahead can move the wheel cursor past Now: NextEventTime cascades
+// the event at 1000 down to tier 0 and leaves the cursor at 1000, so the
+// inserts at 950, 920 and 900 land behind the cursor in the overflow heap.
+// They must still fire first, in time order.
+func TestEngineInsertBehindAdvancedCursor(t *testing.T) {
 	e := NewEngine()
-	lane := e.NewLane()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	lane.Post(1000, rec)
+	e.At(1000, rec)
 	if e.NextEventTime() != 1000 {
 		t.Fatalf("NextEventTime = %d, want 1000", e.NextEventTime())
 	}
 	e.At(950, rec)
 	e.At(920, rec)
 	e.At(900, rec)
+	if n := len(e.overflow.a); n != 3 {
+		t.Fatalf("%d events in the overflow heap, want the 3 behind the cursor", n)
+	}
 	e.Run()
 	want := []Time{900, 920, 950, 1000}
 	if len(got) != len(want) {
@@ -205,6 +205,44 @@ func TestEngineCachedWinnerInHighTierBucket(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("fired %v, want %v", got, want)
 		}
+	}
+}
+
+// Cancelling an event and re-arming it earlier is how the kernel preempts
+// a CPU burst: the re-armed event must win over everything it now precedes.
+func TestEngineCancelThenRearmEarlier(t *testing.T) {
+	e := NewEngine()
+	var got []int64
+
+	ev := e.At(100, func() { t.Fatal("cancelled event fired") })
+	e.At(70, func() { got = append(got, e.Now()) })
+	e.Cancel(ev)
+	e.At(50, func() { got = append(got, e.Now()) })
+	e.Run()
+
+	want := []int64{50, 70}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// A callback may re-arm at the very instant it fires; the new event runs
+// after it, at the same time.
+func TestEngineRearmAtSameInstant(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	e.At(100, func() {
+		got = append(got, "first")
+		e.At(e.Now(), func() { got = append(got, "second") })
+	})
+	e.Run()
+	if len(got) != 2 || got[0] != "first" || got[1] != "second" || e.Now() != 100 {
+		t.Fatalf("got %v at %d", got, e.Now())
 	}
 }
 

@@ -26,7 +26,6 @@ type IPI struct {
 
 	pending bool
 	fire    func() // cached delivery thunk; built on first Send
-	lane    *Lane  // per-line FIFO lane; at most one delivery in flight
 }
 
 // Send raises the line. If a delivery is already in flight the signal
@@ -44,10 +43,9 @@ func (i *IPI) Send() {
 			i.Delivered++
 			i.Deliver()
 		}
-		i.lane = i.Eng.NewLane() //lrp:coldalloc one lane per line, built on first use
 	}
 	i.pending = true
-	i.lane.PostAfter(i.Latency, i.fire)
+	i.Eng.After(i.Latency, i.fire)
 }
 
 // Pending reports whether a delivery is in flight.

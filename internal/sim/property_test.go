@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// This file checks the two-tier scheduler (timer wheel + lanes + overflow
-// heap + top-level merge) against a reference engine that reproduces the
-// old implementation: one global priority heap ordered by (when, seq).
-// The same seeded randomized program — schedules, same-instant bursts,
-// batched posts, cancels, cancel-then-rearm, lane traffic, far-future
-// events beyond the wheel span, and nested scheduling from inside
-// callbacks — runs against both, and the firing traces must be identical
-// down to tie order.
+// This file checks the engine (timer wheel + overflow heap) against a
+// reference engine that reproduces the old implementation: one global
+// priority heap ordered by (when, seq). The same seeded randomized program
+// — schedules, same-instant bursts, per-source monotone streams, cancels,
+// cancel-then-rearm, far-future events beyond the wheel span, look-aheads
+// that move the wheel cursor past Now, RunUntil deadlines, and nested
+// scheduling from inside callbacks — runs against both, and the firing
+// traces must be identical down to tie order.
 
 // refEvent is one pending entry of the reference engine.
 type refEvent struct {
@@ -54,7 +54,7 @@ func (h *refHeap) Pop() any {
 }
 
 // refEngine is the single-global-heap scheduler the engine used before the
-// wheel/lane split. Cancellation marks the entry and drops it at pop time,
+// timer wheel. Cancellation marks the entry and drops it at pop time,
 // which leaves the fire order untouched.
 type refEngine struct {
 	now  int64
@@ -82,6 +82,26 @@ func (r *refEngine) cancel(ev *refEvent) {
 	r.live--
 }
 
+// runUntil steps while the earliest live event is at or before deadline,
+// then moves the clock to the deadline, returning the number fired.
+func (r *refEngine) runUntil(deadline int64) uint64 {
+	var n uint64
+	for {
+		for len(r.h) > 0 && r.h[0].cancelled {
+			heap.Pop(&r.h)
+		}
+		if len(r.h) == 0 || r.h[0].when > deadline {
+			break
+		}
+		r.step()
+		n++
+	}
+	if r.now < deadline {
+		r.now = deadline
+	}
+	return n
+}
+
 func (r *refEngine) step() bool {
 	for len(r.h) > 0 {
 		ev := heap.Pop(&r.h).(*refEvent)
@@ -100,22 +120,20 @@ func (r *refEngine) step() bool {
 
 // propSched is the common surface the randomized program drives; one
 // adapter wraps the real engine, the other the reference. next is
-// NextEventTime: on the real engine it populates the peek cache (and may
-// advance the wheel cursor), so interleaving it with later inserts
-// exercises the cached-winner fast paths.
+// NextEventTime and runUntil is RunUntil: on the real engine both may
+// advance the wheel cursor past Now, so interleaving them with later
+// inserts exercises the behind-the-cursor overflow path.
 type propSched interface {
 	now() int64
 	next() int64
 	at(t int64, fn func()) (cancel func(), active func() bool)
-	lanePost(lane int, t int64, fn func())
-	batch(at []int64, fn []func())
+	runUntil(deadline int64) uint64
 	step() bool
 	pending() int
 }
 
 type newSched struct {
-	e     *Engine
-	lanes []*Lane
+	e *Engine
 }
 
 func (s *newSched) now() int64  { return s.e.Now() }
@@ -124,18 +142,9 @@ func (s *newSched) at(t int64, fn func()) (func(), func() bool) {
 	h := s.e.At(t, fn)
 	return func() { s.e.Cancel(h) }, h.Active
 }
-func (s *newSched) lanePost(lane int, t int64, fn func()) {
-	s.lanes[lane].Post(t, fn)
-}
-func (s *newSched) batch(at []int64, fn []func()) {
-	posts := make([]Post, len(at))
-	for i := range at {
-		posts[i] = Post{At: at[i], Fn: fn[i]}
-	}
-	s.e.PostBatch(posts)
-}
-func (s *newSched) step() bool   { return s.e.Step() }
-func (s *newSched) pending() int { return s.e.Pending() }
+func (s *newSched) runUntil(deadline int64) uint64 { return s.e.RunUntil(deadline) }
+func (s *newSched) step() bool                     { return s.e.Step() }
+func (s *newSched) pending() int                   { return s.e.Pending() }
 
 type refSched struct {
 	e *refEngine
@@ -157,20 +166,14 @@ func (s *refSched) at(t int64, fn func()) (func(), func() bool) {
 	return func() { s.e.cancel(ev) },
 		func() bool { return !ev.cancelled && ev.fn != nil }
 }
-func (s *refSched) lanePost(lane int, t int64, fn func()) {
-	s.e.at(t, fn) // a lane post is just an ordered At
-}
-func (s *refSched) batch(at []int64, fn []func()) {
-	for i := range at {
-		s.e.at(at[i], fn[i]) // consecutive seqs in slice order, like PostBatch
-	}
-}
-func (s *refSched) step() bool   { return s.e.step() }
-func (s *refSched) pending() int { return s.e.live }
+func (s *refSched) runUntil(deadline int64) uint64 { return s.e.runUntil(deadline) }
+func (s *refSched) step() bool                     { return s.e.step() }
+func (s *refSched) pending() int                   { return s.e.live }
 
-// propLanes exceeds laneHotMax so the spill heap and its lazy residency
-// are exercised, not just the dense hot array.
-const propLanes = laneHotMax + 8
+// propSources is the number of per-source monotone event streams, the
+// shape of the simulation's self-chained producers (a NIC's embedded
+// processor, a link's serializer, a kernel's burst chain).
+const propSources = 24
 
 // propWorld runs the randomized program against one scheduler. Both worlds
 // get same-seed RNGs; as long as the engines fire in the same order, every
@@ -185,11 +188,11 @@ type propWorld struct {
 	cancels []func()
 	actives []func() bool
 
-	// Per-lane bookkeeping so lane posts respect the non-decreasing
-	// constraint: while a lane has pending events, posts must not precede
-	// its tail; once it drains, any time >= now is fair game again.
-	lanePending [propLanes]int
-	laneTail    [propLanes]int64
+	// Per-source bookkeeping for the monotone streams: while a source has
+	// pending events, its posts do not precede its tail; once it drains,
+	// any time >= now is fair game again.
+	srcPending [propSources]int
+	srcTail    [propSources]int64
 
 	nextID int
 }
@@ -200,11 +203,11 @@ func (w *propWorld) record(id int) {
 
 // fire builds the callback for event id: record, then maybe do nested work
 // (more schedules, a cancel) using the world's RNG.
-func (w *propWorld) fire(id, lane int) func() {
+func (w *propWorld) fire(id, src int) func() {
 	return func() {
 		w.record(id)
-		if lane >= 0 {
-			w.lanePending[lane]--
+		if src >= 0 {
+			w.srcPending[src]--
 		}
 		// Nested scheduling: follow-ups with mean < 1 so cascades stay
 		// finite (the outer loop keeps seeding new work anyway).
@@ -236,55 +239,46 @@ func (w *propWorld) scheduleOne(nested bool) {
 		c, a := w.s.at(now+d, w.fire(id, -1))
 		w.cancels = append(w.cancels, c)
 		w.actives = append(w.actives, a)
-	case k < 7: // lane post
-		lane := int(w.rng.Int63n(propLanes))
+	case k < 7: // per-source monotone stream
+		src := int(w.rng.Int63n(propSources))
 		t := now + w.rng.Int63n(40)
-		if w.lanePending[lane] > 0 && t < w.laneTail[lane] {
-			t = w.laneTail[lane]
+		if w.srcPending[src] > 0 && t < w.srcTail[src] {
+			t = w.srcTail[src]
 		}
-		w.s.lanePost(lane, t, w.fire(id, lane))
-		w.lanePending[lane]++
-		w.laneTail[lane] = t
+		w.post(src, t, id)
 	case k < 8: // far future: overflow heap, multi-tier cascades
 		d := 1 + w.rng.Int63n(int64(2)<<wheelBits)
 		c, a := w.s.at(now+d, w.fire(id, -1))
 		w.cancels = append(w.cancels, c)
 		w.actives = append(w.actives, a)
-	case k < 9 && !nested: // batch of 2–4 with non-decreasing times
+	case k < 9 && !nested: // burst of 2–4 with non-decreasing times
 		n := 2 + int(w.rng.Int63n(3))
-		at := make([]int64, n)
-		fns := make([]func(), n)
 		t := now + w.rng.Int63n(30)
 		for i := 0; i < n; i++ {
-			at[i] = t
-			fns[i] = w.fire(w.nextID-1+i, -1)
+			w.s.at(t, w.fire(w.nextID-1+i, -1))
 			t += w.rng.Int63n(3) // repeats exercise the same-bucket append
 		}
 		w.nextID += n - 1
-		w.s.batch(at, fns)
-	case k < 10: // the cached-winner-in-high-tier-bucket hazard: park a
-		// far-future lane event (peeking a lane head does not advance the
-		// wheel cursor), populate the winner cache via next(), then insert
-		// descending times. When that lane head was the global minimum,
-		// each insert beats the cached winner while resident in a tier >= 1
-		// bucket and fires straight from there — Step must not trust the
-		// (append-ordered) bucket list for the next minimum. Decrements
-		// also exceed a tier-1 slot (256µs) across the group, so the
-		// inserts land both in one bucket and across bucket boundaries.
-		lane := int(w.rng.Int63n(propLanes))
+	case k < 10: // inserts behind an advanced cursor: park a far-future
+		// event on a stream, look ahead via next() (which advances the
+		// wheel cursor to the queue head when that head sits in a tier >= 1
+		// bucket), then insert descending times. When the parked event was
+		// the global minimum, every insert lands behind the cursor in the
+		// overflow heap and must still fire in (when, seq) order against
+		// the wheel. Decrements also exceed a tier-1 slot (256µs) across
+		// the group, so the inserts span bucket boundaries.
+		src := int(w.rng.Int63n(propSources))
 		lt := now + 1200 + w.rng.Int63n(4000)
-		if w.lanePending[lane] > 0 && lt < w.laneTail[lane] {
-			lt = w.laneTail[lane]
+		if w.srcPending[src] > 0 && lt < w.srcTail[src] {
+			lt = w.srcTail[src]
 		}
-		w.s.lanePost(lane, lt, w.fire(id, lane))
-		w.lanePending[lane]++
-		w.laneTail[lane] = lt
+		w.post(src, lt, id)
 		nt := w.s.next()
 		w.trace = append(w.trace, fmt.Sprintf("next@%d=%d", now, nt))
 		d := 700 + w.rng.Int63n(400)
 		if gap := nt - now; gap > 1200 && gap < int64(1)<<wheelBits {
 			// The queue head is far out: start just below it so every
-			// descending insert beats the cached winner.
+			// descending insert precedes it.
 			d = gap - 1 - w.rng.Int63n(100)
 		}
 		for i := 0; ; i++ {
@@ -306,6 +300,13 @@ func (w *propWorld) scheduleOne(nested bool) {
 	}
 }
 
+// post schedules event id at t on monotone stream src.
+func (w *propWorld) post(src int, t int64, id int) {
+	w.s.at(t, w.fire(id, src))
+	w.srcPending[src]++
+	w.srcTail[src] = t
+}
+
 // cancelOne cancels a randomly chosen outstanding handle (possibly one
 // that already fired — that must be a no-op).
 func (w *propWorld) cancelOne() {
@@ -322,8 +323,8 @@ func (w *propWorld) cancelOne() {
 	w.actives = w.actives[:n]
 }
 
-// run executes the program: interleaved scheduling and stepping, then a
-// full drain.
+// run executes the program: interleaved scheduling and stepping (one
+// event, or RunUntil a random deadline), then a full drain.
 func (w *propWorld) run(steps int) {
 	for i := 0; i < steps; i++ {
 		for w.rng.Int63n(2) == 0 {
@@ -332,9 +333,14 @@ func (w *propWorld) run(steps int) {
 		if w.rng.Int63n(6) == 0 {
 			w.cancelOne()
 		}
-		if !w.s.step() {
+		if w.rng.Int63n(8) == 0 {
+			now := w.s.now()
+			deadline := now + w.rng.Int63n(2000)
+			n := w.s.runUntil(deadline)
+			w.trace = append(w.trace, fmt.Sprintf("until@%d=%d fired %d now %d", now, deadline, n, w.s.now()))
 			continue
 		}
+		w.s.step()
 	}
 	for w.s.step() {
 	}
@@ -347,12 +353,7 @@ func TestEngineMatchesGlobalHeapReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			e := NewEngine()
-			ns := &newSched{e: e}
-			for i := 0; i < propLanes; i++ {
-				ns.lanes = append(ns.lanes, e.NewLane())
-			}
-			wNew := &propWorld{s: ns, rng: NewRand(seed)}
+			wNew := &propWorld{s: &newSched{e: NewEngine()}, rng: NewRand(seed)}
 			wRef := &propWorld{s: &refSched{e: &refEngine{}}, rng: NewRand(seed)}
 
 			wNew.run(4000)

@@ -1,6 +1,6 @@
 package sim
 
-// Hierarchical timer wheel: the engine's structure for future-dated events.
+// Hierarchical timer wheel: the engine's pending-event set.
 //
 // The wheel has numTiers tiers of tierSlots buckets each. Tier t buckets
 // are 2^(tierBits*t) microseconds wide, so tier 0 resolves single
@@ -22,12 +22,12 @@ package sim
 // sequence order and the tier-0 bucket head is the true wheel minimum.
 //
 // Buckets track a stale-low minimum (never raised by cancellation) used as
-// a conservative merge candidate for tiers >= 1: the merge never fires on a
-// stale key, it advances the cursor there and re-derives an exact winner.
-// Events beyond the wheel span — and events scheduled behind the cursor
-// after a speculative peek advanced it past Now — live in the overflow
-// heap, which participates in the merge by exact compare and drains back
-// into the wheel when the cursor crosses a span boundary.
+// a conservative key for tiers >= 1: peek never returns on a stale key, it
+// advances the cursor there and re-derives an exact winner. Events beyond
+// the wheel span — and events scheduled behind the cursor after a peek
+// advanced it past Now — live in the overflow heap, which peek compares
+// exactly against the wheel minimum and which drains back into the wheel
+// when the cursor crosses a span boundary.
 
 import "math/bits"
 
@@ -39,13 +39,11 @@ const (
 	wheelBits = tierBits * numTiers
 )
 
-// evList is one intrusive doubly-linked event list: a wheel bucket
-// (tier >= 0) or the body of a per-source Lane (tier < 0).
+// evList is one wheel bucket: an intrusive doubly-linked event list.
 type evList struct {
 	head, tail *event
-	min        Time  // stale-low bound on members' when (wheel tiers >= 1)
-	tier, slot int32 // wheel coordinates; tier < 0 for a lane
-	lane       *Lane // owning lane when tier < 0
+	min        Time  // stale-low bound on members' when (tiers >= 1)
+	tier, slot int32 // wheel coordinates
 }
 
 // unlink removes ev from l in O(1). The detached event's own link fields
@@ -65,48 +63,67 @@ func (l *evList) unlink(ev *event) {
 	}
 }
 
-// place files ev into the wheel bucket its deadline selects relative to the
-// cursor, or pushes it on the overflow heap when it lies beyond the wheel
-// span (or behind the cursor). It returns the bucket, or nil for overflow,
-// so PostBatch can append follow-on same-instant events directly.
+// place appends ev to the wheel bucket its deadline selects relative to the
+// cursor, maintaining the occupancy bit, the per-tier census and the
+// bucket's stale-low minimum, or pushes it on the overflow heap when it
+// lies beyond the wheel span (or behind the cursor).
 //
 //lrp:hotpath
-func (e *Engine) place(ev *event) *evList {
+func (e *Engine) place(ev *event) {
 	w := ev.when
 	x := uint64(w ^ e.wpos)
 	if w < e.wpos || x>>wheelBits != 0 {
 		e.overflow.push(ev)
-		return nil
+		return
 	}
 	t := 0
 	if x != 0 {
 		t = (bits.Len64(x) - 1) / tierBits
 	}
-	l := &e.tiers[t][(w>>(tierBits*uint(t)))&slotMask]
-	e.bucketAppend(l, ev)
-	return l
-}
-
-// bucketAppend links ev at the tail of wheel bucket l, maintaining the
-// occupancy bit, the per-tier census and the bucket's stale-low minimum.
-//
-//lrp:hotpath
-func (e *Engine) bucketAppend(l *evList, ev *event) {
+	s := int(w>>(tierBits*uint(t))) & slotMask
+	l := &e.tiers[t][s]
 	if l.head == nil {
 		l.head, l.tail = ev, ev
-		l.min = ev.when
-		e.bitmap[l.tier][l.slot>>6] |= 1 << uint(l.slot&63)
+		l.min = w
+		e.bitmap[t][s>>6] |= 1 << uint(s&63)
 	} else {
 		ev.prev = l.tail
 		l.tail.next = ev
 		l.tail = ev
-		if ev.when < l.min {
-			l.min = ev.when
+		if w < l.min {
+			l.min = w
 		}
 	}
 	ev.list = l
-	e.tierCount[l.tier]++
-	e.tierMask |= 1 << uint(l.tier)
+	e.tierCount[t]++
+	e.tierMask |= 1 << uint(t)
+}
+
+// detach removes a pending event from whichever structure holds it.
+//
+//lrp:hotpath
+func (e *Engine) detach(ev *event) {
+	if ev.idx >= 0 {
+		e.overflow.remove(ev.idx)
+		return
+	}
+	l := ev.list
+	l.unlink(ev)
+	e.tierDec(l.tier)
+	if l.head == nil {
+		e.bitmap[l.tier][l.slot>>6] &^= 1 << uint(l.slot&63)
+	}
+}
+
+// tierDec decrements a tier's census, clearing its occupancy bit in the
+// tier mask on the last resident.
+//
+//lrp:hotpath
+func (e *Engine) tierDec(t int32) {
+	e.tierCount[t]--
+	if e.tierCount[t] == 0 {
+		e.tierMask &^= 1 << uint(t)
+	}
 }
 
 // lowestSlot returns the index of the earliest occupied bucket of tier t,
@@ -179,43 +196,35 @@ func (e *Engine) advance(to Time) {
 			if r == nil || r.when < to || uint64(r.when^to)>>wheelBits != 0 {
 				break
 			}
-			e.overflow.pop()
+			e.overflow.remove(0)
 			e.place(r)
 		}
 	}
 }
 
-// peek returns the earliest pending event, or nil. It merges the exact
-// candidates — earliest lane head, tier-0 bucket head, overflow root — by
-// (when, seq); when the earliest wheel material sits in a tier >= 1 bucket
-// it uses the bucket's stale-low minimum as a conservative key and, if that
-// key is not strictly beaten by an exact candidate, advances the cursor to
-// it (cascading the bucket toward tier 0) and re-merges. The loop
-// terminates because every cascade moves the occupied bucket's members to
-// a strictly lower tier. The winner is cached until an earlier insert, a
-// cancellation of the winner, or a fire invalidates it.
+// peek returns the earliest pending event, or nil, without removing it. It
+// compares the two exact candidates — the earliest tier-0 bucket head and
+// the overflow root — by (when, seq). When the earliest wheel material sits
+// in a tier >= 1 bucket, peek uses the bucket's stale-low minimum as a
+// conservative key and, unless the overflow root strictly beats it,
+// advances the cursor there (cascading the bucket toward tier 0) and looks
+// again. The loop terminates because every cascade moves the occupied
+// bucket's members to a strictly lower tier. The cursor may so move past
+// Now; events later scheduled behind it go to the overflow heap.
 //
 //lrp:hotpath
 func (e *Engine) peek() *event {
-	if e.peeked != nil {
-		return e.peeked
-	}
 	for {
-		best := e.laneRoot()
-		if r := e.overflow.root(); r != nil && (best == nil || less(r, best)) {
-			best = r
-		}
+		best := e.overflow.root()
 		if e.tierMask == 0 {
-			e.peeked = best
 			return best
 		}
 		t := bits.TrailingZeros8(e.tierMask)
 		l := &e.tiers[t][e.lowestSlot(t)]
 		if t == 0 {
 			if h := l.head; best == nil || less(h, best) {
-				best = h
+				return h
 			}
-			e.peeked = best
 			return best
 		}
 		m := l.min
@@ -232,7 +241,6 @@ func (e *Engine) peek() *event {
 			l.min = m
 		}
 		if best != nil && best.when < m {
-			e.peeked = best
 			return best
 		}
 		e.advance(m)
