@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lrp/internal/core"
+	"lrp/internal/fault"
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
 	"lrp/internal/sim"
@@ -302,7 +303,7 @@ func TestUDPWindowRetransmitsOnAckLoss(t *testing.T) {
 	// Force timeouts by losing half the traffic; the window protocol must
 	// still complete (go-back-N).
 	r := newRig(t, core.ArchBSD)
-	r.nw.SetLoss(0.2, sim.NewRand(5))
+	r.nw.SetFaults(fault.MustNew(fault.LossPlan(5, 0.2)))
 	rx := &UDPWindowReceiver{Host: r.server, Port: 9000}
 	rx.Start()
 	tx := &UDPWindowSender{

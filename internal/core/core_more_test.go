@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"lrp/internal/fault"
 	"lrp/internal/ipv4"
 	"lrp/internal/kernel"
 	"lrp/internal/netsim"
@@ -428,7 +429,7 @@ func TestTCPThroughLossyNetwork(t *testing.T) {
 		t.Run(arch.String(), func(t *testing.T) {
 			eng := sim.NewEngine()
 			nw := netsim.New(eng)
-			nw.SetLoss(0.02, sim.NewRand(31337))
+			nw.SetFaults(fault.MustNew(fault.LossPlan(31337, 0.02)))
 			server := NewHost(eng, nw, Config{Name: "srv", Addr: addrB, Arch: arch})
 			client := NewHost(eng, nw, Config{Name: "cli", Addr: addrA, Arch: arch})
 			defer server.Shutdown()

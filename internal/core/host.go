@@ -20,37 +20,30 @@ import (
 
 // Config parameterizes host construction.
 type Config struct {
-	Name      string
-	Addr      pkt.Addr
-	Arch      Arch
-	Costs     *CostModel // nil: DefaultCosts
-	LinkBps   int64      // link bandwidth, bits/s (default 155 Mbit/s)
-	PropDelay int64      // one-way propagation delay, µs (default 10)
-	MTU       int        // default 9180 (IP over ATM)
+	Name  string
+	Addr  pkt.Addr
+	Arch  Arch
+	Costs *CostModel // nil: DefaultCosts
 	// NoIdleThread disables LRP's idle-time protocol processing thread
 	// (an ablation knob; the paper argues the thread preserves latency).
 	NoIdleThread bool
-	// NoICMPDaemon disables the ICMP proxy daemon on LRP hosts.
-	NoICMPDaemon bool
 	// FilterDemux replaces the hand-coded demultiplexing function with an
 	// interpreted packet-filter scan (SOFT-LRP/Early-Demux only): the
 	// user-level-network-subsystem configuration of the related work,
 	// whose demux cost grows with the number of bound endpoints.
 	FilterDemux bool
-	// CPUs is the number of simulated CPUs (0 or 1: a uniprocessor,
-	// exactly the pre-SMP host). CPU 0 is the boot CPU (Host.K); the
-	// network daemon processes are pinned there.
+	// CPUs is the number of simulated CPUs (0 or 1: a uniprocessor).
+	// CPU 0 is the boot CPU (Host.K); the network daemon processes are
+	// pinned there.
 	CPUs int
 	// RxQueues is the number of NIC receive queues (0 or 1: one ring).
 	// With more, a deterministic RSS hash over a packet's addresses and
-	// ports steers each flow to one queue, and each queue interrupts
-	// its assigned CPU. NI-LRP has no raw rx rings; there a value above
-	// one instead routes each NI channel's wakeup interrupt to the
-	// owning process's CPU. ArchPolling is single-queue only.
+	// ports steers each flow to one queue. Every raw-ring architecture
+	// runs the same per-queue driver, whatever the count: queue q
+	// interrupts CPU q mod CPUs. NI-LRP has no raw rx rings; there a
+	// value above one instead routes each NI channel's wakeup interrupt
+	// to the owning process's CPU. ArchPolling clamps it to one.
 	RxQueues int
-	// QueueCPU maps rx queue index -> CPU index. A nil slice (or any
-	// queue beyond its length) defaults to queue i -> CPU i mod CPUs.
-	QueueCPU []int
 }
 
 // Stats aggregates host-level drop and delivery accounting, by location —
@@ -58,7 +51,7 @@ type Config struct {
 // drop packets at the socket queue or NI channel queue, respectively...
 // 4.4BSD additionally starts to drop packets at the IP queue").
 type Stats struct {
-	IPQDrops       uint64 // shared IP queue overflow (BSD)
+	IPQDrops       uint64 // IP queue overflow, summed over CPUs (BSD, Polling)
 	ChannelDrops   uint64 // NI channel queue overflow (LRP) / early discard
 	EarlyDrops     uint64 // Early-Demux discard at full socket queue
 	SockQDrops     uint64 // socket queue overflow (BSD)
@@ -86,7 +79,6 @@ type Host struct {
 	Arch    Arch
 	CM      *CostModel
 	Pool    *mbuf.Pool
-	MTU     int
 	Name    string
 
 	pcbs  *demux.Table[*socket.Socket]
@@ -97,20 +89,16 @@ type Host struct {
 	filterDemux *demux.FilterTable[*socket.Socket]
 	filterProgs map[*socket.Socket]int // socket -> entry handle
 
-	ipq *mbuf.Queue // BSD shared IP queue
+	// Raw-ring receive state, built once in wireRx so posting work per
+	// interrupt or per packet allocates no closure (nil under NI-LRP).
+	ipqs          []*mbuf.Queue // per-CPU IP queues (BSD, Polling)
+	bsdSoftintFns []func()      // per-CPU softint bodies (BSD, Polling)
+	qStep         []func()      // per-queue driver-step closures
+	qIntr         []func()      // per-queue interrupt entries
 
-	// Single-queue receive entries, bound once in NewHost so posting them
-	// per interrupt or per packet allocates no method-value closure.
-	rxStep    func() // the architecture's driver step
-	softintFn func() // bsdSoftint (BSD, Polling)
-
-	// Multi-queue receive state (nil/false on a single-queue host).
-	multiQueue    bool          // per-flow rx steering is on
-	queueCPU      []int         // rx queue -> CPU index
-	ipqs          []*mbuf.Queue // per-CPU IP queues (BSD multi-queue); [0] == ipq
-	bsdSoftintFns []func()      // per-CPU softint bodies, built once
-	qStep         []func()      // per-queue driver-step closures, built once
-	qIntr         []func()      // per-queue interrupt entries, built once
+	// steerChannels routes each NI channel's wakeup interrupt to the
+	// owning process's CPU (NI-LRP with RxQueues > 1).
+	steerChannels bool
 
 	fragChan *nic.Channel // LRP: fragments that missed the demux mapping
 	twChan   *nic.Channel // NI-LRP: traffic for deallocated TIME_WAIT channels
@@ -185,26 +173,15 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 	if cm == nil {
 		cm = DefaultCosts()
 	}
-	if cfg.LinkBps == 0 {
-		cfg.LinkBps = 155_000_000
-	}
-	if cfg.PropDelay == 0 {
-		cfg.PropDelay = 10
-	}
-	if cfg.MTU == 0 {
-		cfg.MTU = ipv4.DefaultMTU
-	}
 	h := &Host{
 		Eng:       eng,
 		Net:       nw,
 		Addr:      cfg.Addr,
 		Arch:      cfg.Arch,
 		CM:        cm,
-		MTU:       cfg.MTU,
 		Name:      cfg.Name,
 		pcbs:      demux.NewTable[*socket.Socket](),
 		reasm:     ipv4.NewReassembler(),
-		ipq:       mbuf.NewQueue(cm.IPQueueLimit),
 		timers:    make(map[*tcp.Conn]*connTimers),
 		ephemeral: 49152,
 		iss:       1,
@@ -231,14 +208,14 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 	}
 
 	// Rx queue count: raw-ring architectures can spread RSS-hashed flows
-	// over several rings; NI-LRP's smart NIC has no raw rings (the flag
-	// below routes channel interrupts instead) and polling is
+	// over several rings; NI-LRP's smart NIC has no raw rings (a count
+	// above one steers channel interrupts instead) and polling is
 	// single-queue by construction.
 	nq := cfg.RxQueues
 	if nq < 1 {
 		nq = 1
 	}
-	h.multiQueue = nq > 1
+	h.steerChannels = cfg.Arch == ArchNILRP && nq > 1
 	if cfg.Arch == ArchNILRP || cfg.Arch == ArchPolling {
 		nq = 1
 	}
@@ -256,35 +233,19 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		NICInputLimit: cm.NICInputLimit,
 		RxQueues:      nq,
 	})
-	nw.Attach(h.NIC, cfg.Addr, cfg.LinkBps, cfg.PropDelay)
+	nw.Attach(h.NIC, cfg.Addr, 155_000_000, 10) // 155 Mbit/s ATM, 10 µs propagation
 
 	if cfg.FilterDemux {
 		h.filterDemux = demux.NewFilterTable[*socket.Socket]()
 		h.filterProgs = make(map[*socket.Socket]int)
 	}
-	switch cfg.Arch {
-	case ArchBSD:
-		if nq > 1 {
-			h.wireQueueRx(cfg.QueueCPU)
-		} else {
-			h.rxStep = h.bsdDriverStep
-			h.softintFn = h.bsdSoftint
-			h.NIC.OnHostIntr = h.bsdHostIntr
-		}
-	case ArchSoftLRP, ArchEarlyDemux:
-		if nq > 1 {
-			h.wireQueueRx(cfg.QueueCPU)
-		} else {
-			h.rxStep = h.demuxDriverStep
-			h.NIC.OnHostIntr = h.demuxHostIntr
-		}
-	case ArchNILRP:
-		h.NIC.OnNICProcess = h.niDemuxProcess
-		h.NIC.OnHostIntr = nil // raised explicitly per channel signal
-	case ArchPolling:
-		h.rxStep = h.pollingDriverStep
-		h.softintFn = h.bsdSoftint
-		h.NIC.OnHostIntr = h.pollingHostIntr
+	if cfg.Arch == ArchNILRP {
+		// Demultiplexing runs on the NIC processor: the packet has
+		// already paid the NIC's per-packet cost, and classification
+		// costs the host nothing.
+		h.NIC.OnNICProcess = func(m *mbuf.Mbuf) { h.demuxDeliverOn(h.K, m) }
+	} else {
+		h.wireRx()
 	}
 
 	if cfg.Arch.IsLRP() {
@@ -299,40 +260,30 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 			h.idleProc.FixedPrio = kernel.PrioMax
 			h.idleProc.Pinned = true
 		}
-		if !cfg.NoICMPDaemon {
-			h.startICMPDaemon()
-		}
+		h.startICMPDaemon()
 	} else {
 		h.initTCPHooks()
 	}
 	return h
 }
 
-// wireQueueRx installs the multi-queue receive path: one pre-built
-// interrupt/driver-step closure pair per rx queue, each posting its
-// work to the queue's assigned CPU. BSD additionally gets one IP queue
-// and softint body per CPU (a per-CPU softnet queue), so protocol
-// processing stays on the CPU that took the interrupt.
-func (h *Host) wireQueueRx(queueCPU []int) {
-	nq := h.NIC.NumRxQueues()
-	h.queueCPU = make([]int, nq)
-	for q := range h.queueCPU {
-		ci := q % len(h.CPUs)
-		if q < len(queueCPU) && queueCPU[q] >= 0 && queueCPU[q] < len(h.CPUs) {
-			ci = queueCPU[q]
-		}
-		h.queueCPU[q] = ci
-	}
-	if h.Arch == ArchBSD {
+// wireRx installs the raw-ring receive path: one pre-built interrupt
+// entry and driver step per NIC receive queue, queue q posting its work
+// to CPU q mod CPUs. BSD and Polling also get one IP queue and softint
+// body per CPU (a per-CPU softnet queue), so protocol processing stays
+// on the CPU that took the interrupt. OnHostIntr enters queue 0's
+// handler, so an interrupt raised with no ring behind it (an injected
+// spurious one) costs what a ring interrupt on queue 0 costs.
+func (h *Host) wireRx() {
+	if h.Arch == ArchBSD || h.Arch == ArchPolling {
 		h.ipqs = make([]*mbuf.Queue, len(h.CPUs))
 		h.bsdSoftintFns = make([]func(), len(h.CPUs))
 		for i := range h.ipqs {
-			if i == 0 {
-				h.ipqs[0] = h.ipq
-			} else {
-				h.ipqs[i] = mbuf.NewQueue(h.CM.IPQueueLimit)
-			}
-			ipq := h.ipqs[i]
+			ipq := mbuf.NewQueue(h.CM.IPQueueLimit)
+			h.ipqs[i] = ipq
+			// Eager protocol processing for the head of the IP queue: its
+			// cost was charged by the posted work item, to whatever
+			// process happened to be running — BSD's accounting.
 			h.bsdSoftintFns[i] = func() {
 				if m := ipq.Dequeue(); m != nil {
 					h.protoInput(m, nil)
@@ -340,26 +291,27 @@ func (h *Host) wireQueueRx(queueCPU []int) {
 			}
 		}
 	}
+	nq := h.NIC.NumRxQueues()
 	h.qStep = make([]func(), nq)
 	h.qIntr = make([]func(), nq)
 	for q := 0; q < nq; q++ {
-		q := q
-		ci := h.queueCPU[q]
+		ci := q % len(h.CPUs)
 		k := h.CPUs[ci]
 		switch h.Arch {
-		case ArchBSD:
-			h.qStep[q] = func() { h.bsdDriverStepQ(q, ci, k) }
+		case ArchBSD, ArchPolling:
+			h.qStep[q] = func() { h.bsdDriverStep(q, ci, k) }
 			h.qIntr[q] = func() {
 				k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt, Fn: h.qStep[q]})
 			}
 		default: // SOFT-LRP, Early-Demux
-			h.qStep[q] = func() { h.demuxDriverStepQ(q, k) }
+			h.qStep[q] = func() { h.demuxDriverStep(q, k) }
 			h.qIntr[q] = func() {
-				k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt + h.headDemuxCostQ(q), Fn: h.qStep[q]})
+				k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt + h.headDemuxCost(q), Fn: h.qStep[q]})
 			}
 		}
 	}
 	h.NIC.OnQueueIntr = func(q int) { h.qIntr[q]() }
+	h.NIC.OnHostIntr = h.qIntr[0]
 }
 
 // KernelAt returns CPU i's kernel; index 0 is the boot CPU (Host.K).
@@ -384,9 +336,8 @@ func (h *Host) EnableTrace(capacity int) *trace.Log {
 // the queue counters of the live IP queues and NI channels.
 func (h *Host) Stats() Stats {
 	s := h.stats
-	s.IPQDrops = h.ipq.Drops()
-	for i := 1; i < len(h.ipqs); i++ { // per-CPU softnet queues (ipqs[0] == ipq)
-		s.IPQDrops += h.ipqs[i].Drops()
+	for _, q := range h.ipqs {
+		s.IPQDrops += q.Drops()
 	}
 	for _, so := range h.sockets {
 		// An NI-LRP socket in TIME_WAIT points at the shared twChan,

@@ -1,8 +1,7 @@
 package core
 
 // Tests for the idle-time protocol processing thread's candidate list
-// (which sockets a pass visits, and in which order) and for the
-// allocation cost of the single-queue receive entries.
+// (which sockets a pass visits, and in which order).
 
 import (
 	"fmt"
@@ -172,34 +171,6 @@ func TestIdleCandidatesNeedIdleThread(t *testing.T) {
 			t.Errorf("%v (idle thread off): %d idle candidates, want none", cfg.Arch, len(h.idleSocks))
 		}
 		h.Shutdown()
-	}
-}
-
-// TestSingleQueueRxAllocs pins the single-queue receive entries: their
-// work items reuse func values bound once in NewHost, so a receive costs
-// no more allocations than the same receive on the 2-queue path.
-func TestSingleQueueRxAllocs(t *testing.T) {
-	for _, arch := range []Arch{ArchBSD, ArchSoftLRP} {
-		t.Run(arch.String(), func(t *testing.T) {
-			allocs := func(queues int) float64 {
-				eng := sim.NewEngine()
-				nw := netsim.New(eng)
-				h := NewHost(eng, nw, Config{Name: "server", Addr: addrB, Arch: arch, RxQueues: queues})
-				defer h.Shutdown()
-				b := pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("x"), true)
-				rx := func() {
-					nw.Inject(b)
-					eng.RunFor(sim.Millisecond)
-				}
-				for i := 0; i < 10; i++ {
-					rx() // warm the pools and free lists
-				}
-				return testing.AllocsPerRun(100, rx)
-			}
-			if one, two := allocs(1), allocs(2); one > two {
-				t.Errorf("single-queue receive: %.1f allocs, 2-queue: %.1f", one, two)
-			}
-		})
 	}
 }
 

@@ -17,67 +17,42 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// 4.4BSD: interrupt handler -> shared IP queue -> software interrupt ->
-// socket queue. Highest priority to capture, second to protocol
-// processing, lowest to the application.
+// Raw-ring drivers (4.4BSD, Polling, SOFT-LRP, Early-Demux) run once per
+// NIC receive queue: queue q's interrupt and driver steps run on CPU
+// q % CPUs, and a uniprocessor single-queue host is the one-queue,
+// one-CPU case. The closures in Host.qStep bind q, ci and k once in
+// wireRx, so the per-interrupt path allocates nothing.
 
-// bsdHostIntr fires on a ring empty->nonempty transition.
-func (h *Host) bsdHostIntr() {
-	h.K.PostHW(kernel.WorkItem{
-		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt,
-		Fn:   h.rxStep,
-	})
-}
+// ---------------------------------------------------------------------------
+// 4.4BSD: interrupt handler -> IP queue -> software interrupt -> socket
+// queue. Highest priority to capture, second to protocol processing,
+// lowest to the application.
 
-// bsdDriverStep handles one packet in the interrupt handler, then chains
-// to the next ring entry (batching: the fixed dispatch cost is paid once
-// per interrupt, the per-packet cost per packet).
-func (h *Host) bsdDriverStep() {
-	if m := h.NIC.RxDequeue(); m != nil {
-		// Queue on the shared IP queue; drop if full — after the driver
-		// has already invested work in the packet.
-		swEmpty := h.K.SWPending() == 0
-		if h.ipq.Enqueue(m) {
-			cost := h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty
-			if swEmpty {
-				cost += h.CM.SWDispatchFixed
-			}
-			h.K.PostSW(kernel.WorkItem{Cost: cost, Fn: h.softintFn})
-		}
-	}
-	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.rxStep})
-	} else {
-		h.NIC.IntrDone()
-	}
-}
-
-// bsdSoftint performs eager protocol processing for the head of the IP
-// queue (its cost was charged by the posted work item, to whatever process
-// happened to be running — BSD's accounting).
-func (h *Host) bsdSoftint() {
-	m := h.ipq.Dequeue()
-	if m == nil {
-		return
-	}
-	h.protoInput(m, nil)
-}
-
-// bsdDriverStepQ is bsdDriverStep for one queue of a multi-queue NIC:
-// the same batching interrupt handler, but queue q's ring feeds CPU
-// ci's IP queue and software interrupt. The closures in Host.qStep
-// bind q/ci/k once at construction, so the per-interrupt path
-// allocates nothing.
-func (h *Host) bsdDriverStepQ(q, ci int, k *kernel.Kernel) {
+// bsdDriverStep handles one packet from queue q in the interrupt handler
+// on CPU ci (kernel k), then chains to the next ring entry (batching: the
+// fixed dispatch cost is paid once per interrupt, the per-packet cost
+// per packet). The packet goes onto CPU ci's IP queue and software
+// interrupt. Polling runs the same driver plus its overload check.
+func (h *Host) bsdDriverStep(q, ci int, k *kernel.Kernel) {
+	ipq := h.ipqs[ci]
 	if m := h.NIC.RxDequeueQ(q); m != nil {
+		// Queue on the IP queue; drop if full — after the driver has
+		// already invested work in the packet.
 		swEmpty := k.SWPending() == 0
-		if h.ipqs[ci].Enqueue(m) {
+		if ipq.Enqueue(m) {
 			cost := h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty
 			if swEmpty {
 				cost += h.CM.SWDispatchFixed
 			}
 			k.PostSW(kernel.WorkItem{Cost: cost, Fn: h.bsdSoftintFns[ci]})
 		}
+	}
+	if h.Arch == ArchPolling && ipq.Len() >= h.CM.PollEnterThresh {
+		// Overload: protocol processing is falling behind (the IP queue
+		// is backing up). Switch to polled mode; interrupts stay off
+		// until a poll finds the ring drained.
+		h.enterPolledMode()
+		return
 	}
 	if h.NIC.RxPendingQ(q) > 0 {
 		k.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt, Fn: h.qStep[q]})
@@ -89,53 +64,23 @@ func (h *Host) bsdDriverStepQ(q, ci int, k *kernel.Kernel) {
 // ---------------------------------------------------------------------------
 // SOFT-LRP and Early-Demux: demultiplexing in the host interrupt handler.
 
-func (h *Host) demuxHostIntr() {
-	h.K.PostHW(kernel.WorkItem{
-		Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt + h.headDemuxCost(),
-		Fn:   h.rxStep,
-	})
-}
-
-func (h *Host) demuxDriverStep() {
-	if m := h.NIC.RxDequeue(); m != nil {
-		h.demuxDeliver(m)
-	}
-	if h.NIC.RxPending() > 0 {
-		h.K.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCost(), Fn: h.rxStep})
-	} else {
-		h.NIC.IntrDone()
-	}
-}
-
-// demuxDriverStepQ is demuxDriverStep for one queue of a multi-queue
-// NIC: queue q's packets are demultiplexed in interrupt context on the
-// queue's assigned CPU k.
-func (h *Host) demuxDriverStepQ(q int, k *kernel.Kernel) {
+// demuxDriverStep demultiplexes one packet from queue q in interrupt
+// context on the queue's CPU k, then chains to the next ring entry.
+func (h *Host) demuxDriverStep(q int, k *kernel.Kernel) {
 	if m := h.NIC.RxDequeueQ(q); m != nil {
 		h.demuxDeliverOn(k, m)
 	}
 	if h.NIC.RxPendingQ(q) > 0 {
-		k.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCostQ(q), Fn: h.qStep[q]})
+		k.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCost(q), Fn: h.qStep[q]})
 	} else {
 		h.NIC.IntrDoneQ(q)
 	}
 }
 
 // headDemuxCost prices the demultiplexing of the packet the next driver
-// step will dequeue (data-dependent under interpreted filter demux).
-func (h *Host) headDemuxCost() int64 {
-	if h.filterDemux == nil {
-		return h.CM.DemuxCost
-	}
-	m := h.NIC.RxPeek()
-	if m == nil {
-		return h.CM.DemuxCost
-	}
-	return h.demuxCostFor(m.Data)
-}
-
-// headDemuxCostQ is headDemuxCost against one queue's ring.
-func (h *Host) headDemuxCostQ(q int) int64 {
+// step will dequeue from queue q (data-dependent under interpreted
+// filter demux).
+func (h *Host) headDemuxCost(q int) int64 {
 	if h.filterDemux == nil {
 		return h.CM.DemuxCost
 	}
@@ -146,23 +91,12 @@ func (h *Host) headDemuxCostQ(q int) int64 {
 	return h.demuxCostFor(m.Data)
 }
 
-// niDemuxProcess runs on the NIC's embedded processor (NI-LRP): the packet
-// has already paid the NIC's per-packet cost; classification costs the
-// host nothing.
-func (h *Host) niDemuxProcess(m *mbuf.Mbuf) {
-	h.demuxDeliver(m)
-}
-
-// demuxDeliver classifies a packet and places it on the right NI channel
-// (or socket queue for Early-Demux). Runs in host interrupt context
-// (SOFT-LRP, Early-Demux) or on the NIC processor (NI-LRP).
-//
-//lrp:hotpath
-func (h *Host) demuxDeliver(m *mbuf.Mbuf) { h.demuxDeliverOn(h.K, m) }
-
-// demuxDeliverOn is demuxDeliver in the interrupt context of a specific
-// CPU k: eager follow-up work (Early-Demux softints, foreign-traffic
-// forwarding) stays on the CPU whose queue carried the packet.
+// demuxDeliverOn classifies a packet and places it on the right NI
+// channel (or socket queue for Early-Demux). It runs in the host
+// interrupt context of CPU k (SOFT-LRP, Early-Demux) or on the NIC
+// processor (NI-LRP, with k the boot CPU). Eager follow-up work
+// (Early-Demux softints, foreign-traffic forwarding) stays on the CPU k
+// whose queue carried the packet.
 //
 //lrp:hotpath
 func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
@@ -227,10 +161,10 @@ func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
 // asynchronous protocol processing (TCP). Under NI-LRP this requires an
 // actual (minimal) host interrupt; under soft demux we are already in one.
 //
-// On a multi-queue NI-LRP host the channel's interrupt line is routed to
-// the owning process's CPU — the NI-channel analogue of RSS steering —
-// so the wakeup needs no follow-up IPI. Single-queue hosts take every
-// channel interrupt on CPU 0, exactly the pre-SMP behavior.
+// On an NI-LRP host built with RxQueues > 1 the channel's interrupt line
+// is routed to the owning process's CPU — the NI-channel analogue of RSS
+// steering — so the wakeup needs no follow-up IPI. Otherwise every
+// channel interrupt is taken on CPU 0.
 func (h *Host) channelSignal(sock *socket.Socket, ch *nic.Channel) {
 	// One signal per empty->nonempty transition: the APP thread (TCP) or
 	// the woken receiver (UDP) re-requests interrupts when it next needs
@@ -265,7 +199,7 @@ func (h *Host) channelSignal(sock *socket.Socket, ch *nic.Channel) {
 		// traffic.
 		h.NIC.RaiseIntr()
 		k := h.K
-		if h.multiQueue && sock.Owner != nil {
+		if h.steerChannels && sock.Owner != nil {
 			k = sock.Owner.K
 		}
 		k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed, ChargeTo: sock.Owner, Fn: act})

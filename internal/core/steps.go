@@ -84,8 +84,8 @@ func (h *Host) SendToStep(p *kernel.Proc, s *socket.Socket, dst pkt.Addr, dport 
 			h.txScratch = pkt.AppendUDP(h.txScratch[:0], h.Addr, dst, s.LPort, dport, h.nextIPID(), 64, data, !s.NoUDPChecksum)
 			b := h.txScratch
 			fr.frags = append(fr.frags[:0], b)
-			if len(b) > h.MTU {
-				frags := ipv4.Fragment(b, h.MTU)
+			if len(b) > ipv4.DefaultMTU {
+				frags := ipv4.Fragment(b, ipv4.DefaultMTU)
 				if frags == nil {
 					fr.Err = ErrNoBufs
 					return true

@@ -96,8 +96,8 @@ func (h *Host) Send(p *kernel.Proc, s *socket.Socket, data []byte) error {
 // the interface.
 func (h *Host) ipOutput(p *kernel.Proc, s *socket.Socket, b []byte) error {
 	frags := [][]byte{b} //lrp:nolint hotalloc -- single-element scratch slice that does not escape: sendFrags only ranges over it
-	if len(b) > h.MTU {
-		frags = ipv4.Fragment(b, h.MTU)
+	if len(b) > ipv4.DefaultMTU {
+		frags = ipv4.Fragment(b, ipv4.DefaultMTU)
 		if frags == nil {
 			return ErrNoBufs
 		}

@@ -30,7 +30,7 @@ import (
 // composes any number of them, each active over its own time window.
 const (
 	// KindLoss drops each packet independently with probability Rate
-	// (Bernoulli loss — the model behind the legacy netsim.SetLoss).
+	// (Bernoulli loss).
 	KindLoss = "loss"
 	// KindGilbertElliott drops packets from a two-state Markov chain:
 	// a good state losing GoodLoss of packets and a bad state losing

@@ -238,20 +238,6 @@ func TestSegmentStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestNewBernoulliMatchesLegacyDraws(t *testing.T) {
-	// The SetLoss shim must consume exactly one Float64 per packet from
-	// the caller's generator and make the same decisions the legacy
-	// inline check made.
-	p := NewBernoulli(0.4, sim.NewRand(123))
-	legacy := sim.NewRand(123)
-	for i := 0; i < 5000; i++ {
-		want := legacy.Float64() < 0.4
-		if got := p.Apply(sim.Time(i)).Drop; got != want {
-			t.Fatalf("packet %d: shim drop=%v, legacy drop=%v", i, got, want)
-		}
-	}
-}
-
 func TestPlanJSONRoundTrip(t *testing.T) {
 	plan := Plan{Seed: 42, Segments: []Segment{
 		{Kind: KindGilbertElliott, PGoodBad: 0.01, PBadGood: 0.2, BadLoss: 1, Start: 10, End: 5000},

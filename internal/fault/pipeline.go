@@ -99,18 +99,6 @@ func MustNew(plan Plan) *Pipeline {
 	return p
 }
 
-// NewBernoulli builds the one-stage pipeline behind the legacy
-// netsim.SetLoss compatibility shim. Unlike New it adopts the
-// caller-provided generator directly — legacy callers pass their own
-// seeded rng and depend on the exact draw sequence (one Float64 per
-// delivered packet), which forking would change.
-func NewBernoulli(rate float64, rng *sim.Rand) *Pipeline {
-	if rng == nil {
-		rng = sim.NewRand(0x105e) // mirrors the historical SetLoss default
-	}
-	return &Pipeline{stages: []stage{{seg: Segment{Kind: KindLoss, Rate: rate}, rng: rng}}}
-}
-
 // Stats returns a copy of the pipeline's counters.
 func (p *Pipeline) Stats() Stats { return p.stats }
 

@@ -349,22 +349,6 @@ func (nw *Network) corruptCopy(b []byte) []byte {
 	return s
 }
 
-// SetLoss makes the network drop each delivered packet with probability
-// rate (failure injection for protocol testing). A nil rng seeds a
-// deterministic default.
-//
-// It is a compatibility shim over the fault pipeline: rate > 0 installs
-// a one-segment Bernoulli plan driven by the caller's generator (one
-// Float64 draw per delivery, exactly as the pre-pipeline implementation
-// drew), and rate <= 0 clears the network-wide pipeline.
-func (nw *Network) SetLoss(rate float64, rng *sim.Rand) {
-	if rate <= 0 {
-		nw.faults = nil
-		return
-	}
-	nw.faults = fault.NewBernoulli(rate, rng)
-}
-
 // SetFaults installs (or, with nil, clears) a network-wide fault
 // pipeline applied to every delivery. The caller keeps the *fault.Pipeline
 // handle for stats and tracing.

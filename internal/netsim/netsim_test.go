@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lrp/internal/fault"
 	"lrp/internal/mbuf"
 	"lrp/internal/nic"
 	"lrp/internal/pkt"
@@ -249,7 +250,7 @@ func TestLossInjection(t *testing.T) {
 	nw := New(eng)
 	b := nic.New(eng, nic.Config{Mode: nic.ModeRaw, RxRingSize: 4096})
 	nw.Attach(b, addrB, mbps155, 10)
-	nw.SetLoss(0.5, sim.NewRand(77))
+	nw.SetFaults(fault.MustNew(fault.LossPlan(77, 0.5)))
 	p := pkt.UDPPacket(addrA, addrB, 1, 7, 1, 64, nil, true)
 	eng.At(0, func() {
 		for i := 0; i < 1000; i++ {
@@ -266,7 +267,7 @@ func TestLossInjection(t *testing.T) {
 		t.Fatalf("lost %d of 1000 at 50%% loss", lost)
 	}
 	// Disabling loss restores full delivery.
-	nw.SetLoss(0, nil)
+	nw.SetFaults(nil)
 	eng.At(eng.Now()+1, func() { nw.Inject(p) })
 	eng.Run()
 	if int(nw.Stats().Lost) != lost {

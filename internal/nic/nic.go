@@ -46,9 +46,9 @@ type Stats struct {
 	// Queues sums to the aggregate; RxPackets over Queues counts the
 	// packets steered to a ring (aggregate RxPackets minus fault drops
 	// and ModeSmart traffic); HostIntrs over Queues counts ring-raised
-	// interrupts (interrupts raised on behalf of the embedded processor
-	// via RaiseIntr belong to an NI channel, not a ring, and count only
-	// in the aggregate).
+	// interrupts (interrupts raised via RaiseIntr — for an NI channel or
+	// an injected fault — belong to no ring and count only in the
+	// aggregate).
 	Queues []QueueStats
 }
 
@@ -73,16 +73,18 @@ type NIC struct {
 	Mode Mode
 
 	// OnHostIntr is invoked (in engine context) when the adaptor raises a
-	// host interrupt: on ring empty->nonempty transitions in ModeRaw, or
-	// when requested by a channel in ModeSmart. The architecture layer
-	// typically posts hardware-interrupt work to the kernel here.
+	// host interrupt through RaiseIntr — on behalf of the embedded
+	// processor when a channel requests it (ModeSmart), or by an injected
+	// fault — and, when OnQueueIntr is nil, on ring empty->nonempty
+	// transitions in ModeRaw. The architecture layer typically posts
+	// hardware-interrupt work to the kernel here.
 	OnHostIntr func()
 
-	// OnQueueIntr, when non-nil, replaces OnHostIntr for receive-ring
-	// interrupts and identifies which queue raised the line. A
-	// multi-queue architecture layer installs it to route each queue's
-	// interrupt to its affinity-mapped CPU; single-queue configurations
-	// leave it nil and keep the legacy OnHostIntr wiring.
+	// OnQueueIntr, when non-nil, carries every receive-ring interrupt and
+	// identifies which queue raised the line, so the architecture layer
+	// can route each queue's interrupt to its CPU. Core hosts install it
+	// for every raw-ring architecture, whatever the queue count; with it
+	// nil, ring interrupts go to OnHostIntr.
 	OnQueueIntr func(q int)
 
 	// OnNICProcess runs on the embedded processor for each received packet
@@ -275,7 +277,7 @@ func (n *NIC) Rx(b []byte) {
 }
 
 // raiseRing invokes the interrupt callback for queue q's ring: the
-// per-queue line when installed, else the legacy single line.
+// per-queue line when installed, else OnHostIntr.
 func (n *NIC) raiseRing(q int) {
 	if n.OnQueueIntr != nil {
 		n.OnQueueIntr(q)
@@ -293,11 +295,8 @@ func (n *NIC) RxDequeue() *mbuf.Mbuf { return n.rxq[0].ring.Dequeue() }
 // RxDequeueQ removes the next packet from receive queue q's ring.
 func (n *NIC) RxDequeueQ(q int) *mbuf.Mbuf { return n.rxq[q].ring.Dequeue() }
 
-// RxPeek returns queue 0's ring head without removing it (drivers use it
-// to price data-dependent interrupt work before performing it).
-func (n *NIC) RxPeek() *mbuf.Mbuf { return n.rxq[0].ring.Peek() }
-
-// RxPeekQ returns queue q's ring head without removing it.
+// RxPeekQ returns queue q's ring head without removing it (drivers use
+// it to price data-dependent interrupt work before performing it).
 func (n *NIC) RxPeekQ(q int) *mbuf.Mbuf { return n.rxq[q].ring.Peek() }
 
 // RxPending returns the number of packets waiting in queue 0's ring.
@@ -346,9 +345,10 @@ func (n *NIC) SetIntrEnabled(enabled bool) {
 	}
 }
 
-// RaiseIntr raises a host interrupt on behalf of the embedded processor
-// (ModeSmart), e.g. when a channel transitions empty->nonempty and the
-// receiver requested interrupts.
+// RaiseIntr raises a host interrupt through OnHostIntr: on behalf of the
+// embedded processor (ModeSmart), e.g. when a channel transitions
+// empty->nonempty and the receiver requested interrupts, or with no
+// packet behind it (an injected spurious interrupt).
 func (n *NIC) RaiseIntr() {
 	n.stats.HostIntrs++
 	if n.OnHostIntr != nil {
