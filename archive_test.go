@@ -1,25 +1,23 @@
 package lrp_test
 
-// Guards the checked-in archives: results/lrpbench_full.{txt,json}
-// (the canonical eight-experiment suite),
-// results/lrpbench_faults.{txt,json} (the fault robustness curves),
-// results/lrpbench_smp.{txt,json} (the multi-core scaling sweep), and
-// results/lrpbench_wan.{txt,json} (the internet-scale topology sweep).
-// The JSON must decode under the current schema and satisfy every
-// shape assertion, and — because results are a pure function of config
-// and seed — an in-process re-run must reproduce both files
-// byte-for-byte. Regenerate with
+// Guards the checked-in archives, derived from exp.Registry:
+// results/lrpbench_full.{txt,json} holds the canonical suite and
+// results/lrpbench_NAME.{txt,json} each experiment outside it. The JSON
+// must decode under the current schema, carry exactly its archive's
+// experiments in registry order and satisfy every shape assertion, and
+// — because results are a pure function of config and seed — an
+// in-process re-run must reproduce both files byte-for-byte.
+// Regenerate with
 //
 //	go run ./cmd/lrpbench -out results/lrpbench_full.json all > results/lrpbench_full.txt
-//	go run ./cmd/lrpbench -out results/lrpbench_faults.json faults > results/lrpbench_faults.txt
-//	go run ./cmd/lrpbench -out results/lrpbench_smp.json smp > results/lrpbench_smp.txt
-//	go run ./cmd/lrpbench -out results/lrpbench_wan.json wan > results/lrpbench_wan.txt
+//	go run ./cmd/lrpbench -out results/lrpbench_NAME.json NAME > results/lrpbench_NAME.txt
 //
 // whenever a change legitimately moves the numbers.
 
 import (
 	"bytes"
 	"os"
+	"slices"
 	"testing"
 
 	"lrp/internal/exp"
@@ -27,6 +25,25 @@ import (
 	"lrp/internal/render"
 	"lrp/internal/results"
 )
+
+// archive is one checked-in pair: its path without the .json/.txt
+// extension and the experiments it holds.
+type archive struct {
+	path  string
+	names []string
+}
+
+// archives derives every checked-in archive from the registry: the
+// canonical suite's, then one per experiment outside it.
+func archives() []archive {
+	out := []archive{{"results/lrpbench_full", exp.SuiteNames()}}
+	for _, r := range exp.Registry {
+		if !r.Suite {
+			out = append(out, archive{"results/lrpbench_" + r.Name, []string{r.Name}})
+		}
+	}
+	return out
+}
 
 // loadArchive decodes one checked-in suite.
 func loadArchive(t *testing.T, path string) *results.Suite {
@@ -46,103 +63,65 @@ func loadArchive(t *testing.T, path string) *results.Suite {
 	return s
 }
 
-func TestFullRunArchive(t *testing.T) {
-	s := loadArchive(t, "results/lrpbench_full.json")
-	if len(s.Experiments) != len(results.SuiteExperiments) {
-		t.Errorf("archived suite has %d experiments, want %d", len(s.Experiments), len(results.SuiteExperiments))
-	}
-	for _, v := range results.CheckSuite(s) {
-		t.Errorf("archived full run violates a paper-shape assertion: %s", v)
-	}
-}
-
-func TestFaultsArchive(t *testing.T) {
-	s := loadArchive(t, "results/lrpbench_faults.json")
-	e := s.Find("faults")
-	if e == nil {
-		t.Fatal("archived faults suite carries no faults experiment")
-	}
-	for _, v := range results.CheckFaults(e.Faults) {
-		t.Errorf("archived faults run violates a shape assertion: %s", v)
+func TestArchives(t *testing.T) {
+	for _, a := range archives() {
+		t.Run(a.path, func(t *testing.T) {
+			s := loadArchive(t, a.path+".json")
+			var got []string
+			for _, e := range s.Experiments {
+				got = append(got, e.Name)
+			}
+			if !slices.Equal(got, a.names) {
+				t.Errorf("%s.json carries %v, want %v", a.path, got, a.names)
+			}
+			for _, v := range exp.Check(s, a.names...) {
+				t.Errorf("%s.json violates a paper-shape assertion: %s", a.path, v)
+			}
+		})
 	}
 }
 
-func TestSMPArchive(t *testing.T) {
-	s := loadArchive(t, "results/lrpbench_smp.json")
-	e := s.Find("smp")
-	if e == nil {
-		t.Fatal("archived smp suite carries no smp experiment")
-	}
-	for _, v := range results.CheckSMP(e.SMP) {
-		t.Errorf("archived smp run violates a shape assertion: %s", v)
-	}
-}
-
-func TestWANArchive(t *testing.T) {
-	s := loadArchive(t, "results/lrpbench_wan.json")
-	e := s.Find("wan")
-	if e == nil {
-		t.Fatal("archived wan suite carries no wan experiment")
-	}
-	for _, v := range results.CheckWAN(e.WAN) {
-		t.Errorf("archived wan run violates a shape assertion: %s", v)
-	}
-}
-
-// rerunArchive reruns the named experiments at full length in-process
-// and compares the rendered text and encoded JSON against the
-// checked-in archive pair, byte for byte. This is the determinism
+// TestArchivesByteIdentical reruns each archive's experiments at full
+// length in-process and compares the rendered text and encoded JSON
+// against the checked-in pair, byte for byte. This is the determinism
 // contract at its strongest: any stray source of nondeterminism or any
 // unintended change to simulation behavior — however small — shows up
 // as a diff against an archive produced by a different process on a
 // different day.
-func rerunArchive(t *testing.T, jsonPath, txtPath string, names ...string) {
-	t.Helper()
+func TestArchivesByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-length re-run; skipped in -short")
+		t.Skip("full-length re-runs; skipped in -short")
 	}
 	if race.Enabled {
-		t.Skip("full-length re-run; too slow under the race detector")
+		t.Skip("full-length re-runs; too slow under the race detector")
 	}
-	wantJSON, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range archives() {
+		t.Run(a.path, func(t *testing.T) {
+			wantJSON, err := os.ReadFile(a.path + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTxt, err := os.ReadFile(a.path + ".txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			suite, err := exp.RunSuite(exp.Options{Seed: 1, Parallel: 8}, a.names...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gotJSON, gotTxt bytes.Buffer
+			if err := suite.Encode(&gotJSON); err != nil {
+				t.Fatal(err)
+			}
+			exp.Render(&gotTxt, suite, render.Options{})
+			if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
+				t.Errorf("re-run JSON differs from %s.json (%d vs %d bytes); if the change is intended, regenerate the archives",
+					a.path, gotJSON.Len(), len(wantJSON))
+			}
+			if !bytes.Equal(gotTxt.Bytes(), wantTxt) {
+				t.Errorf("re-run text differs from %s.txt (%d vs %d bytes); if the change is intended, regenerate the archives",
+					a.path, gotTxt.Len(), len(wantTxt))
+			}
+		})
 	}
-	wantTxt, err := os.ReadFile(txtPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite, err := exp.RunSuite(exp.Options{Seed: 1, Parallel: 8}, names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotJSON, gotTxt bytes.Buffer
-	if err := suite.Encode(&gotJSON); err != nil {
-		t.Fatal(err)
-	}
-	render.Suite(&gotTxt, suite, render.Options{})
-	if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
-		t.Errorf("re-run JSON differs from %s (%d vs %d bytes); if the change is intended, regenerate the archives",
-			jsonPath, gotJSON.Len(), len(wantJSON))
-	}
-	if !bytes.Equal(gotTxt.Bytes(), wantTxt) {
-		t.Errorf("re-run text differs from %s (%d vs %d bytes); if the change is intended, regenerate the archives",
-			txtPath, gotTxt.Len(), len(wantTxt))
-	}
-}
-
-func TestFullRunArchiveByteIdentical(t *testing.T) {
-	rerunArchive(t, "results/lrpbench_full.json", "results/lrpbench_full.txt")
-}
-
-func TestFaultsArchiveByteIdentical(t *testing.T) {
-	rerunArchive(t, "results/lrpbench_faults.json", "results/lrpbench_faults.txt", "faults")
-}
-
-func TestSMPArchiveByteIdentical(t *testing.T) {
-	rerunArchive(t, "results/lrpbench_smp.json", "results/lrpbench_smp.txt", "smp")
-}
-
-func TestWANArchiveByteIdentical(t *testing.T) {
-	rerunArchive(t, "results/lrpbench_wan.json", "results/lrpbench_wan.txt", "wan")
 }

@@ -6,26 +6,28 @@
 //
 //	lrpbench [-quick] [-seed N] [-v] [-plot] [-parallel N] [-json] [-out FILE] \
 //	         [-faultplan FILE] [-cpuprofile FILE] [-memprofile FILE] \
-//	         table1|fig3|mlfrr|fig4|table2|fig5|ablations|media|faults|smp|wan|all|check
+//	         EXPERIMENT|all|check
 //
-// Each experiment prints the same rows or series the paper reports;
-// EXPERIMENTS.md records a side-by-side comparison with the published
-// numbers. All requested experiments run through exp.RunSuite: with
-// -parallel > 1 every independent simulation world across the whole
-// suite draws from one bounded worker pool, and results are assembled
-// in canonical order. Every world is a private deterministic
-// simulation, so output is byte-identical at any parallelism. -v
-// reports per-experiment wall-clock timings and a final wall-vs-user
-// CPU utilization summary on stderr.
+// EXPERIMENT is the name of any row of exp.Registry (`lrpbench -h` lists
+// them in registry order); all runs the rows marked as the canonical
+// suite, and check runs every row. Each experiment prints the same rows
+// or series the paper reports; EXPERIMENTS.md records a side-by-side
+// comparison with the published numbers. All requested experiments run
+// through exp.RunSuite: with -parallel > 1 every independent simulation
+// world across the whole suite draws from one bounded worker pool, and
+// results are assembled in canonical order. Every world is a private
+// deterministic simulation, so output is byte-identical at any
+// parallelism. -v reports per-experiment wall-clock timings and a final
+// wall-vs-user CPU utilization summary on stderr.
 //
 // -json replaces the text tables on stdout with the versioned JSON
 // suite (internal/results schema); -out FILE additionally saves that
-// JSON suite to FILE, whatever stdout carries. The check verb runs all
-// eight experiments plus the faults, smp and wan sweeps, evaluates every
-// paper-shape assertion (ordering of systems, BSD's livelock collapse,
-// NI-LRP's flat overload curve, fairness bands, traffic separation,
-// robustness under impairment, multi-core scaling), and exits non-zero
-// if any fail.
+// JSON suite to FILE, whatever stdout carries. The check verb runs every
+// registry experiment, evaluates every paper-shape assertion (ordering
+// of systems, BSD's livelock collapse, NI-LRP's flat overload curve,
+// fairness bands, traffic separation, robustness under impairment,
+// multi-core scaling), and exits non-zero if any fail. An unknown verb
+// prints the error and the usage, and exits 2.
 //
 // The faults verb runs the internal/fault robustness curves — goodput,
 // p99 latency, and victim-CPU share for every architecture under each
@@ -91,8 +93,10 @@ func run() int {
 	faultPlan := flag.String("faultplan", "", "apply a fault plan (scenarios/*.json format) network-wide to every world")
 	flag.BoolVar(&doPlot, "plot", false, "render ASCII charts for the figures")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lrpbench [-quick] [-seed N] [-v] [-plot] [-parallel N] [-json] [-out FILE] [-faultplan FILE] [-cpuprofile FILE] [-memprofile FILE] table1|fig3|mlfrr|fig4|table2|fig5|ablations|media|faults|smp|wan|all|check\n")
-		fmt.Fprintf(os.Stderr, "check runs all, faults, smp and wan, and exits 1 if any paper-shape assertion fails\n")
+		fmt.Fprintf(os.Stderr, "usage: lrpbench [-quick] [-seed N] [-v] [-plot] [-parallel N] [-json] [-out FILE] [-faultplan FILE] [-cpuprofile FILE] [-memprofile FILE] %s|all|check\n",
+			strings.Join(exp.Names(), "|"))
+		fmt.Fprintf(os.Stderr, "all runs %s; check runs every experiment and exits 1 if any paper-shape assertion fails\n",
+			strings.Join(exp.SuiteNames(), ", "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -169,13 +173,9 @@ func run() int {
 	check := false
 	switch which {
 	case "all":
-		names = exp.Experiments
+		names = exp.SuiteNames()
 	case "check":
-		// The canonical eight plus the standalone faults, smp and wan
-		// sweeps: CheckSuite holds the robustness, scaling and
-		// internet-scale curves to their shapes whenever they are
-		// present, and check is where every assertion should run.
-		names = append(append([]string{}, exp.Experiments...), "faults", "smp", "wan")
+		names = exp.Names()
 		check = true
 	default:
 		names = []string{which}
@@ -185,6 +185,7 @@ func run() int {
 	userStart := userCPUSeconds()
 	suite, err := exp.RunSuite(opt, names...)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "lrpbench:", err)
 		flag.Usage()
 		return 2
 	}
@@ -199,12 +200,7 @@ func run() int {
 			wall, user, util, opt.Parallel)
 	}
 	if !*jsonOut && !check {
-		for _, e := range suite.Experiments {
-			render.Experiment(os.Stdout, e, render.Options{Plot: doPlot})
-			if len(names) > 1 {
-				fmt.Println()
-			}
-		}
+		exp.Render(os.Stdout, suite, render.Options{Plot: doPlot})
 	}
 
 	if *outPath != "" {
@@ -225,7 +221,7 @@ func run() int {
 		}
 	}
 	if check {
-		return report(os.Stdout, suite, *jsonOut)
+		return report(os.Stdout, suite, exp.Check(suite, names...), *jsonOut)
 	}
 	return 0
 }
@@ -249,8 +245,7 @@ func fatal(err error) {
 }
 
 // report prints the shape-check verdict and returns the exit code.
-func report(w io.Writer, suite *results.Suite, asJSON bool) int {
-	violations := results.CheckSuite(suite)
+func report(w io.Writer, suite *results.Suite, violations []results.Violation, asJSON bool) int {
 	if violations == nil {
 		violations = []results.Violation{} // `"violations": []`, not null
 	}

@@ -37,11 +37,6 @@ func (h *Host) startICMPDaemon() {
 	s.Owner = proc
 }
 
-// icmpInput is the eager-path (BSD softint) ICMP handler.
-func (h *Host) icmpInput(ih *pkt.IPv4Header, seg []byte) {
-	h.icmpProcess(ih, seg)
-}
-
 // icmpProcess answers echo requests; everything else is counted and
 // dropped (the stack does not originate errors).
 //

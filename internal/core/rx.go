@@ -333,7 +333,7 @@ func (h *Host) protoInput(m *mbuf.Mbuf, sockHint *socket.Socket) {
 	case pkt.ProtoTCP:
 		h.tcpInput(&ih, seg, sockHint) // TCP copies what it retains
 	case pkt.ProtoICMP:
-		h.icmpInput(&ih, seg) // replies are built in fresh buffers
+		h.icmpProcess(&ih, seg) // replies are built in fresh buffers
 	default:
 		h.stats.NoMatchDrops++
 	}

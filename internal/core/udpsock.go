@@ -181,18 +181,6 @@ func (h *Host) udpLazyInput(p, owner *kernel.Proc, s *socket.Socket, m *mbuf.Mbu
 	return fr.d, fr.ok
 }
 
-// drainFragChannelFor feeds packets from the special fragment channel to
-// the reassembler. Returns a completed datagram if one emerges. p may be
-// nil (engine-context callers that pre-charged) — with a nil p the machine
-// never yields, so Block is never reached.
-func (h *Host) drainFragChannelFor(p, owner *kernel.Proc, trigger []byte) ([]byte, bool) {
-	var fr fragDrainOp
-	for !h.fragDrainStep(p, owner, trigger, &fr) {
-		p.Block()
-	}
-	return fr.whole, fr.ok
-}
-
 // CloseUDP closes a datagram socket, releasing its port, channel and any
 // queued data.
 func (h *Host) CloseUDP(p *kernel.Proc, s *socket.Socket) {

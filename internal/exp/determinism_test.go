@@ -68,7 +68,7 @@ func TestSuiteRerunIdentical(t *testing.T) {
 	}
 	run := func() []byte {
 		suite := results.NewSuite(1, true)
-		for _, name := range Experiments {
+		for _, name := range SuiteNames() {
 			e, err := RunExperiment(name, Options{Quick: true, Seed: 1, Parallel: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -87,22 +87,27 @@ func TestSuiteRerunIdentical(t *testing.T) {
 	}
 }
 
-// TestSuiteParallelismInvariant is the suite-level determinism contract
-// behind `lrpbench all`: RunSuite at -parallel 1 (strictly sequential
-// drivers) and at -parallel 8 (all drivers concurrent, every simulation
-// world drawn from one shared pool) must produce byte-identical JSON.
-// This is the cross-driver scheduler's proof obligation — canonical
-// assembly order plus private deterministic worlds — at quick scale.
+// TestSuiteParallelismInvariant is the determinism contract behind
+// `lrpbench all` and `lrpbench check`: RunSuite over every registry
+// experiment at -parallel 1 (strictly sequential drivers) and at
+// -parallel 8 (all drivers concurrent, every simulation world drawn
+// from one shared pool) must produce byte-identical JSON. This is the
+// cross-driver scheduler's proof obligation — canonical assembly order
+// plus private deterministic worlds — at quick scale. Validate also
+// holds each registry row to filling the payload field its name keys.
 func TestSuiteParallelismInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full quick suite twice; skipped in -short")
+		t.Skip("every quick experiment twice; skipped in -short")
 	}
 	if race.Enabled {
-		t.Skip("full quick suite twice; too slow under the race detector (concurrency is covered by TestParallelMatchesSerialAcrossDrivers)")
+		t.Skip("every quick experiment twice; too slow under the race detector (concurrency is covered by TestParallelMatchesSerialAcrossDrivers)")
 	}
 	encode := func(parallel int) []byte {
-		suite, err := RunSuite(Options{Quick: true, Seed: 1, Parallel: parallel})
+		suite, err := RunSuite(Options{Quick: true, Seed: 1, Parallel: parallel}, Names()...)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := suite.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

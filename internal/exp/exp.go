@@ -4,7 +4,8 @@
 // paper reports. Absolute numbers depend on the calibrated cost model
 // (see internal/core and EXPERIMENTS.md); the drivers exist to reproduce
 // the paper's shapes: who wins, by what factor, and where systems
-// collapse.
+// collapse. Registry is the one table of experiments, which everything
+// that lists them iterates.
 package exp
 
 import (

@@ -181,7 +181,6 @@ func Faults(opt Options) []FaultCurve {
 		ci := ci
 		def := def
 		spec := runner.Spec[System, int, FaultPoint]{
-			Name:    "faults/" + def.impairment,
 			Systems: OverloadSystems(),
 			Axis:    idx,
 			Run: func(sys System, si int) FaultPoint {
@@ -296,7 +295,6 @@ func tcpReorderCurve(opt Options) FaultCurve {
 		idx[i] = i
 	}
 	spec := runner.Spec[System, int, FaultPoint]{
-		Name:    "faults/tcp-reorder",
 		Systems: LatencySystems(),
 		Axis:    idx,
 		Run: func(sys System, si int) FaultPoint {

@@ -36,7 +36,6 @@ func fig3Rates(quick bool) []int64 {
 // immediately."
 func Fig3(opt Options) []Fig3Series {
 	spec := runner.Spec[System, int64, Fig3Point]{
-		Name:    "fig3",
 		Systems: OverloadSystems(),
 		Axis:    fig3Rates(opt.Quick),
 		Run: func(sys System, rate int64) Fig3Point {

@@ -32,7 +32,6 @@ func fig4Rates(quick bool) []int64 {
 // CPUs out of the idle loop, per the paper's methodology.
 func Fig4(opt Options) []Fig4Series {
 	spec := runner.Spec[System, int64, Fig4Point]{
-		Name:    "fig4",
 		Systems: LatencySystems(),
 		Axis:    fig4Rates(opt.Quick),
 		Run: func(sys System, rate int64) Fig4Point {

@@ -39,7 +39,6 @@ func fig5Systems() []System {
 // to a dummy server running on the server machine."
 func Fig5(opt Options) []Fig5Series {
 	spec := runner.Spec[System, int64, Fig5Point]{
-		Name:    "fig5",
 		Systems: fig5Systems(),
 		Axis:    fig5Rates(opt.Quick),
 		Run: func(sys System, rate int64) Fig5Point {

@@ -101,7 +101,6 @@ func SMP(opt Options) []SMPSeries {
 		idx[i] = i
 	}
 	spec := runner.Spec[System, int, SMPPoint]{
-		Name:    "smp",
 		Systems: smpSystems(),
 		Axis:    idx,
 		Run: func(sys System, ci int) SMPPoint {

@@ -1,66 +1,11 @@
 package exp
 
 import (
-	"context"
-	"fmt"
-	"runtime/pprof"
-
 	"lrp/internal/results"
 	"lrp/internal/runner"
 )
 
-// Experiments lists the eight experiment names in canonical suite
-// order — the order `lrpbench all` runs and reports them. The fault
-// robustness curves ("faults") and the multi-core scaling sweep ("smp")
-// are deliberately not part of the canonical suite: they run standalone
-// via `lrpbench faults` / `lrpbench smp`, so the archived `lrpbench
-// all` output stays byte-stable.
-var Experiments = []string{
-	"table1", "fig3", "mlfrr", "fig4", "table2", "fig5", "ablations", "media",
-}
-
-// RunExperiment runs one named experiment and returns its typed
-// payload. Unknown names are an error, not a panic, so the CLI can
-// reject bad verbs cleanly. The run executes under a pprof
-// "experiment" label so CPU profiles attribute samples per experiment.
-func RunExperiment(name string, opt Options) (results.Experiment, error) {
-	e := results.Experiment{Name: name}
-	var err error
-	pprof.Do(context.Background(), pprof.Labels("experiment", name), func(context.Context) {
-		switch name {
-		case "table1":
-			e.Table1 = Table1(opt)
-		case "fig3":
-			e.Fig3 = Fig3(opt)
-		case "mlfrr":
-			e.MLFRR = MLFRR(opt)
-		case "fig4":
-			e.Fig4 = Fig4(opt)
-		case "table2":
-			e.Table2 = Table2(opt)
-		case "fig5":
-			e.Fig5 = Fig5(opt)
-		case "ablations":
-			e.Ablations = Ablations(opt)
-		case "media":
-			e.Media = MediaJitter(opt)
-		case "faults":
-			e.Faults = Faults(opt)
-		case "smp":
-			e.SMP = SMP(opt)
-		case "wan":
-			e.WAN = WAN(opt)
-		default:
-			err = fmt.Errorf("exp: unknown experiment %q", name)
-		}
-	})
-	if err != nil {
-		return results.Experiment{}, err
-	}
-	return e, nil
-}
-
-// RunSuite runs the named experiments (the canonical eight when names
+// RunSuite runs the named experiments (the canonical suite when names
 // is empty) into a fresh suite. With Parallel <= 1 the drivers run
 // sequentially in the given order. With Parallel > 1 all drivers run
 // concurrently and every sweep point across the whole suite draws from
@@ -71,7 +16,7 @@ func RunExperiment(name string, opt Options) (results.Experiment, error) {
 // byte-identical for any Parallel value.
 func RunSuite(opt Options, names ...string) (*results.Suite, error) {
 	if len(names) == 0 {
-		names = Experiments
+		names = SuiteNames()
 	}
 	s := results.NewSuite(opt.Seed, opt.Quick)
 	concurrent := opt.Parallel > 1 && len(names) > 1

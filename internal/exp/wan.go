@@ -125,7 +125,6 @@ func WAN(opt Options) []WANSeries {
 		}
 	}
 	spec := runner.Spec[System, axis, WANPoint]{
-		Name:    "wan",
 		Systems: wanSystems(),
 		Axis:    ax,
 		Run: func(sys System, a axis) WANPoint {

@@ -1,9 +1,8 @@
 // Package render formats result payloads as the text tables lrpbench
-// prints. It is a separate package so the CLI and the archive
-// regression tests share one renderer: the tests re-run the suite
-// in-process and compare against results/lrpbench_full.txt
-// byte-for-byte, which only means anything if both paths print through
-// the same code.
+// prints: one printer per experiment, all with one signature, which
+// exp.Registry binds to their experiments. The CLI and the archive
+// regression tests both print through exp.Render, so the tests'
+// byte-for-byte comparison against the archived text covers this code.
 package render
 
 import (
@@ -20,47 +19,8 @@ type Options struct {
 	Plot bool
 }
 
-// Suite prints every experiment in s the way `lrpbench all` does: each
-// payload's table, with a blank line after each when there is more than
-// one.
-func Suite(w io.Writer, s *results.Suite, o Options) {
-	for _, e := range s.Experiments {
-		Experiment(w, e, o)
-		if len(s.Experiments) > 1 {
-			fmt.Fprintln(w)
-		}
-	}
-}
-
-// Experiment prints one experiment's table.
-func Experiment(w io.Writer, e results.Experiment, o Options) {
-	switch e.Name {
-	case "table1":
-		printTable1(w, e.Table1)
-	case "fig3":
-		printFig3(w, e.Fig3, o)
-	case "mlfrr":
-		printMLFRR(w, e.MLFRR)
-	case "fig4":
-		printFig4(w, e.Fig4, o)
-	case "table2":
-		printTable2(w, e.Table2)
-	case "fig5":
-		printFig5(w, e.Fig5, o)
-	case "ablations":
-		printAblations(w, e.Ablations)
-	case "media":
-		printMedia(w, e.Media)
-	case "faults":
-		printFaults(w, e.Faults)
-	case "smp":
-		printSMP(w, e.SMP)
-	case "wan":
-		printWAN(w, e.WAN)
-	}
-}
-
-func printTable1(w io.Writer, rows []results.Table1Row) {
+// Table1 prints Table 1.
+func Table1(w io.Writer, rows []results.Table1Row, _ Options) {
 	fmt.Fprintln(w, "Table 1: Throughput and Latency")
 	fmt.Fprintln(w, "(paper: RTT 1006/855/840/864 µs; UDP 64/82/92/86 Mbps; TCP 63/69/67/66 Mbps)")
 	fmt.Fprintf(w, "%-22s %14s %16s %16s\n", "System", "RTT (µs)", "UDP (Mbit/s)", "TCP (Mbit/s)")
@@ -69,7 +29,8 @@ func printTable1(w io.Writer, rows []results.Table1Row) {
 	}
 }
 
-func printFig3(w io.Writer, series []results.Fig3Series, o Options) {
+// Fig3 prints Figure 3, with its chart when o.Plot is set.
+func Fig3(w io.Writer, series []results.Fig3Series, o Options) {
 	fmt.Fprintln(w, "Figure 3: Throughput versus offered load (14-byte UDP, pkts/s)")
 	if o.Plot {
 		c := plot.Chart{Title: "Figure 3", XLabel: "offered rate (pkts/s)", YLabel: "delivered (pkts/s)", Width: 64, Height: 18}
@@ -97,7 +58,8 @@ func printFig3(w io.Writer, series []results.Fig3Series, o Options) {
 	}
 }
 
-func printMLFRR(w io.Writer, rows []results.MLFRRRow) {
+// MLFRR prints each system's maximum loss-free receive rate.
+func MLFRR(w io.Writer, rows []results.MLFRRRow, _ Options) {
 	fmt.Fprintln(w, "Maximum Loss-Free Receive Rate (paper: SOFT-LRP 9210 vs BSD 6380, +44%)")
 	fmt.Fprintf(w, "%-14s %10s %12s\n", "System", "MLFRR", "Peak (pkt/s)")
 	for _, r := range rows {
@@ -105,7 +67,8 @@ func printMLFRR(w io.Writer, rows []results.MLFRRRow) {
 	}
 }
 
-func printFig4(w io.Writer, series []results.Fig4Series, o Options) {
+// Fig4 prints Figure 4, with its chart when o.Plot is set.
+func Fig4(w io.Writer, series []results.Fig4Series, o Options) {
 	fmt.Fprintln(w, "Figure 4: Latency with concurrent load (µs round trip; * = probes lost)")
 	if o.Plot {
 		c := plot.Chart{Title: "Figure 4", XLabel: "background rate (pkts/s)", YLabel: "round trip (µs)", Width: 64, Height: 18}
@@ -139,7 +102,8 @@ func printFig4(w io.Writer, series []results.Fig4Series, o Options) {
 	}
 }
 
-func printTable2(w io.Writer, rows []results.Table2Row) {
+// Table2 prints Table 2.
+func Table2(w io.Writer, rows []results.Table2Row, _ Options) {
 	fmt.Fprintln(w, "Table 2: Synthetic RPC Server Workload")
 	fmt.Fprintln(w, "(paper Fast: elapsed 49.7/34.6/38.7 s; shares 23-26% BSD vs 29-33% LRP)")
 	fmt.Fprintf(w, "%-8s %-12s %16s %14s %14s\n", "RPC", "System", "Worker (s)", "RPCs/s", "Worker share")
@@ -149,7 +113,8 @@ func printTable2(w io.Writer, rows []results.Table2Row) {
 	}
 }
 
-func printFig5(w io.Writer, series []results.Fig5Series, o Options) {
+// Fig5 prints Figure 5, with its chart when o.Plot is set.
+func Fig5(w io.Writer, series []results.Fig5Series, o Options) {
 	fmt.Fprintln(w, "Figure 5: HTTP Server Throughput under SYN flood (transfers/s)")
 	fmt.Fprintln(w, "(paper: BSD livelocks near 10k SYN/s; LRP keeps ~50% at 20k)")
 	if o.Plot {
@@ -178,7 +143,8 @@ func printFig5(w io.Writer, series []results.Fig5Series, o Options) {
 	}
 }
 
-func printAblations(w io.Writer, rows []results.AblationRow) {
+// Ablations prints the ablation measurements.
+func Ablations(w io.Writer, rows []results.AblationRow, _ Options) {
 	fmt.Fprintln(w, "Ablations: isolating LRP's individual design choices")
 	fmt.Fprintf(w, "%-16s %-20s %-22s %10s\n", "experiment", "variant", "metric", "value")
 	for _, r := range rows {
@@ -186,7 +152,8 @@ func printAblations(w io.Writer, rows []results.AblationRow) {
 	}
 }
 
-func printMedia(w io.Writer, rows []results.MediaRow) {
+// Media prints the media stream's delivery jitter.
+func Media(w io.Writer, rows []results.MediaRow, _ Options) {
 	fmt.Fprintln(w, "Media stream (30 fps) delivery jitter vs background blast")
 	fmt.Fprintf(w, "%-12s %10s %14s %12s\n", "System", "bg pkt/s", "mean jitter µs", "p99 µs")
 	for _, r := range rows {
@@ -194,7 +161,8 @@ func printMedia(w io.Writer, rows []results.MediaRow) {
 	}
 }
 
-func printSMP(w io.Writer, series []results.SMPSeries) {
+// SMP prints the multi-core scaling sweep.
+func SMP(w io.Writer, series []results.SMPSeries, _ Options) {
 	fmt.Fprintln(w, "Multi-core scaling: single-queue vs RSS multi-queue receive")
 	fmt.Fprintf(w, "%-10s %-8s %6s %12s %14s %8s %8s %8s %8s\n",
 		"System", "queues", "cores", "offered", "goodput pkt/s", "p99 µs", "ipis", "steals", "wakes")
@@ -210,7 +178,8 @@ func printSMP(w io.Writer, series []results.SMPSeries) {
 	}
 }
 
-func printWAN(w io.Writer, series []results.WANSeries) {
+// WAN prints the internet-scale sweep.
+func WAN(w io.Writer, series []results.WANSeries, _ Options) {
 	fmt.Fprintln(w, "Internet-scale sweep: aggregated client populations through multi-hop topologies")
 	fmt.Fprintln(w, "(gateways run the same kernel as the server; eager processing livelocks per hop)")
 	fmt.Fprintf(w, "%-24s %-10s %8s %6s %10s %14s %10s %10s %10s\n",
@@ -227,7 +196,8 @@ func printWAN(w io.Writer, series []results.WANSeries) {
 	}
 }
 
-func printFaults(w io.Writer, curves []results.FaultCurve) {
+// Faults prints the fault robustness curves.
+func Faults(w io.Writer, curves []results.FaultCurve, _ Options) {
 	fmt.Fprintln(w, "Robustness curves: per-architecture behavior under injected faults")
 	for i, cv := range curves {
 		if i > 0 {

@@ -5,9 +5,9 @@ package results
 // refactor broke one of the reproduction's headline shapes — the
 // ordering of systems, BSD's livelock collapse, NI-LRP's flat overload
 // curve, LRP's fair worker share, traffic separation — even though the
-// code still builds and runs. `lrpbench check` runs the full suite
-// through CheckSuite and exits non-zero on any violation; thresholds
-// are calibrated to hold in both quick and full-length runs.
+// code still builds and runs. `lrpbench check` runs every experiment
+// through its check (exp.Check) and exits non-zero on any violation;
+// thresholds are calibrated to hold in both quick and full-length runs.
 
 import "fmt"
 
@@ -37,58 +37,6 @@ func (c *checker) assert(cond bool, check, format string, args ...any) {
 	if !cond {
 		c.failf(check, format, args...)
 	}
-}
-
-// SuiteExperiments lists the experiment names CheckSuite expects, in
-// canonical order.
-var SuiteExperiments = []string{
-	"table1", "fig3", "mlfrr", "fig4", "table2", "fig5", "ablations", "media",
-}
-
-// CheckSuite verifies every paper shape across a full suite. Missing
-// experiments are themselves violations, so a truncated run cannot
-// pass silently.
-func CheckSuite(s *Suite) []Violation {
-	var out []Violation
-	for _, name := range SuiteExperiments {
-		e := s.Find(name)
-		if e == nil {
-			out = append(out, Violation{Experiment: name, Check: "present", Detail: "experiment missing from suite"})
-			continue
-		}
-		switch name {
-		case "table1":
-			out = append(out, CheckTable1(e.Table1)...)
-		case "fig3":
-			out = append(out, CheckFig3(e.Fig3)...)
-		case "mlfrr":
-			out = append(out, CheckMLFRR(e.MLFRR)...)
-		case "fig4":
-			out = append(out, CheckFig4(e.Fig4)...)
-		case "table2":
-			out = append(out, CheckTable2(e.Table2)...)
-		case "fig5":
-			out = append(out, CheckFig5(e.Fig5)...)
-		case "ablations":
-			out = append(out, CheckAblations(e.Ablations)...)
-		case "media":
-			out = append(out, CheckMedia(e.Media)...)
-		}
-	}
-	// The fault robustness curves and the multi-core scaling sweep are
-	// not part of the canonical suite (they run via `lrpbench faults` /
-	// `lrpbench smp`), but when a suite carries them they are held to
-	// their shapes too.
-	if e := s.Find("faults"); e != nil {
-		out = append(out, CheckFaults(e.Faults)...)
-	}
-	if e := s.Find("smp"); e != nil {
-		out = append(out, CheckSMP(e.SMP)...)
-	}
-	if e := s.Find("wan"); e != nil {
-		out = append(out, CheckWAN(e.WAN)...)
-	}
-	return out
 }
 
 // CheckTable1: LRP's basic performance is competitive — "improved

@@ -4,10 +4,7 @@ package results
 // runs, so the predicate logic is tested in both directions without
 // running any simulations.
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func wantClean(t *testing.T, vs []Violation) {
 	t.Helper()
@@ -222,42 +219,4 @@ func TestCheckMedia(t *testing.T) {
 	bad := goodMedia()
 	bad[3].MeanJitterUs = 120 // NI-LRP jitters like BSD
 	wantViolation(t, CheckMedia(bad), "bsd-jitters")
-}
-
-func TestCheckSuiteReportsMissing(t *testing.T) {
-	s := NewSuite(1, true)
-	s.Add(Experiment{Name: "table1", Table1: goodTable1()})
-	vs := CheckSuite(s)
-	missing := 0
-	for _, v := range vs {
-		if v.Check == "present" && strings.Contains(v.Detail, "missing from suite") {
-			missing++
-		}
-	}
-	if missing != len(SuiteExperiments)-1 {
-		t.Fatalf("want %d missing-experiment violations, got %d: %v", len(SuiteExperiments)-1, missing, vs)
-	}
-}
-
-func TestCheckSuiteCleanOnGoodData(t *testing.T) {
-	s := NewSuite(1, true)
-	s.Add(Experiment{Name: "table1", Table1: goodTable1()})
-	s.Add(Experiment{Name: "fig3", Fig3: goodFig3()})
-	s.Add(Experiment{Name: "mlfrr", MLFRR: []MLFRRRow{
-		{System: "4.4 BSD", MLFRR: 7250, Peak: 8064},
-		{System: "SOFT-LRP", MLFRR: 8250, Peak: 9072},
-	}})
-	s.Add(Experiment{Name: "fig4", Fig4: []Fig4Series{
-		fig4Curve("4.4 BSD", 0, 350, 600, 1200),
-		fig4Curve("NI-LRP", 0, 330, 340, 350),
-		fig4Curve("SOFT-LRP", 0, 320, 400, 500),
-	}})
-	s.Add(Experiment{Name: "table2", Table2: goodTable2()})
-	s.Add(Experiment{Name: "fig5", Fig5: []Fig5Series{
-		fig5Curve("4.4 BSD", 100, 40, 0),
-		fig5Curve("SOFT-LRP", 98, 80, 52),
-	}})
-	s.Add(Experiment{Name: "ablations", Ablations: goodAblations()})
-	s.Add(Experiment{Name: "media", Media: goodMedia()})
-	wantClean(t, CheckSuite(s))
 }

@@ -14,6 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 )
 
 // SchemaVersion is bumped whenever a row type or the Suite container
@@ -180,7 +182,9 @@ type WANSeries struct {
 }
 
 // Experiment is one named experiment's typed payload. Exactly one data
-// field is populated, matching Name.
+// field is populated: the one whose JSON key is Name (Validate enforces
+// it). Each data field pairs with one row of exp.Registry, in the same
+// order.
 type Experiment struct {
 	Name      string        `json:"name"`
 	Table1    []Table1Row   `json:"table1,omitempty"`
@@ -226,38 +230,22 @@ func (s *Suite) Find(name string) *Experiment {
 	return nil
 }
 
-// payload returns whether e carries any rows under its declared name.
-func (e *Experiment) payload() bool {
-	switch e.Name {
-	case "table1":
-		return len(e.Table1) > 0
-	case "fig3":
-		return len(e.Fig3) > 0
-	case "mlfrr":
-		return len(e.MLFRR) > 0
-	case "fig4":
-		return len(e.Fig4) > 0
-	case "table2":
-		return len(e.Table2) > 0
-	case "fig5":
-		return len(e.Fig5) > 0
-	case "ablations":
-		return len(e.Ablations) > 0
-	case "media":
-		return len(e.Media) > 0
-	case "faults":
-		return len(e.Faults) > 0
-	case "smp":
-		return len(e.SMP) > 0
-	case "wan":
-		return len(e.WAN) > 0
+// payloadKeys returns the JSON keys of e's populated payload fields,
+// read from the struct tags so this package keeps no list of names.
+func (e *Experiment) payloadKeys() []string {
+	var keys []string
+	v := reflect.ValueOf(e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() > 0 {
+			keys = append(keys, strings.TrimSuffix(v.Type().Field(i).Tag.Get("json"), ",omitempty"))
+		}
 	}
-	return false
+	return keys
 }
 
 // Validate checks structural integrity: schema version, tool tag, and
-// that every experiment entry is a known name carrying rows under that
-// name.
+// that every experiment entry carries rows under its own name and under
+// no other.
 func (s *Suite) Validate() error {
 	if s.Schema != SchemaVersion {
 		return fmt.Errorf("results: schema %d, this tool reads %d", s.Schema, SchemaVersion)
@@ -267,8 +255,8 @@ func (s *Suite) Validate() error {
 	}
 	for i := range s.Experiments {
 		e := &s.Experiments[i]
-		if !e.payload() {
-			return fmt.Errorf("results: experiment %d (%q) carries no rows under its name", i, e.Name)
+		if keys := e.payloadKeys(); len(keys) != 1 || keys[0] != e.Name {
+			return fmt.Errorf("results: experiment %d (%q) carries rows under %q, want exactly its own name", i, e.Name, keys)
 		}
 	}
 	return nil

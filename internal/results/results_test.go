@@ -114,6 +114,22 @@ func TestDecodeRejectsMismatchedPayload(t *testing.T) {
 	}
 }
 
+func TestDecodeRejectsStrayPayload(t *testing.T) {
+	s := NewSuite(1, false)
+	// Rows under its own name plus rows under another experiment's key.
+	s.Add(Experiment{Name: "fig3",
+		Fig3:   []Fig3Series{{System: "x", Points: []Fig3Point{{Offered: 1, Delivered: 1}}}},
+		Table1: []Table1Row{{System: "x", RTTMicros: 1, UDPMbps: 1, TCPMbps: 1}},
+	})
+	var buf bytes.Buffer
+	if err := s.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf); err == nil {
+		t.Fatal("an entry carrying a second experiment's rows should fail validation")
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage input should fail")

@@ -151,8 +151,6 @@ func Cross[A, B any](as []A, bs []B) []Pair[A, B] {
 // measurement. Specs carry no execution policy; the same Spec can run
 // serially or across a pool with identical results.
 type Spec[S, X, R any] struct {
-	// Name identifies the scenario in progress output.
-	Name string
 	// Systems is the outer axis: the kernel configurations under test.
 	Systems []S
 	// Axis is the inner sweep axis (offered rates, SYN rates, …).

@@ -120,7 +120,6 @@ func TestCrossOrder(t *testing.T) {
 
 func TestSweepShapesGrid(t *testing.T) {
 	spec := Spec[string, int, string]{
-		Name:    "grid",
 		Systems: []string{"x", "y", "z"},
 		Axis:    []int{10, 20},
 		Run:     func(s string, v int) string { return fmt.Sprintf("%s@%d", s, v) },
