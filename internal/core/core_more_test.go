@@ -29,8 +29,10 @@ func TestLRPFragmentChannelOutOfOrder(t *testing.T) {
 	// Trailing fragments arriving before the header fragment land on the
 	// special fragment channel; reassembly pulls them from there when the
 	// header fragment arrives ("The IP reassembly function checks this
-	// channel queue when it misses fragments during reassembly").
-	for _, arch := range []Arch{ArchNILRP, ArchSoftLRP} {
+	// channel queue when it misses fragments during reassembly"). The
+	// eager kernels, which have no such channel, reassemble as fragments
+	// come; Early-Demux must hand the unmappable ones to eager input.
+	for _, arch := range everyArch {
 		arch := arch
 		t.Run(arch.String(), func(t *testing.T) {
 			r := newRig(t, arch)
@@ -295,28 +297,6 @@ func TestCloseUDPWakesBlockedReceiver(t *testing.T) {
 	r.eng.RunFor(100 * sim.Millisecond)
 	if got != ErrClosed {
 		t.Fatalf("blocked receiver got %v", got)
-	}
-}
-
-func TestTryRecvFrom(t *testing.T) {
-	r := newRig(t, ArchSoftLRP)
-	var first, second bool
-	r.server.K.Spawn("recv", 0, func(p *kernel.Proc) {
-		s := r.server.NewUDPSocket(p)
-		_ = r.server.BindUDP(s, 7)
-		_, first = r.server.TryRecvFrom(p, s)
-		p.Delay(20 * 1000)
-		_, second = r.server.TryRecvFrom(p, s)
-	})
-	r.eng.At(10*1000, func() {
-		r.nw.Inject(pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("x"), true))
-	})
-	r.eng.RunFor(100 * sim.Millisecond)
-	if first {
-		t.Fatal("TryRecvFrom returned a datagram before any arrived")
-	}
-	if !second {
-		t.Fatal("TryRecvFrom missed the waiting datagram")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lrp/internal/ipv4"
 	"lrp/internal/kernel"
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
@@ -13,6 +14,9 @@ import (
 )
 
 var allArchs = []Arch{ArchBSD, ArchNILRP, ArchSoftLRP, ArchEarlyDemux}
+
+// everyArch is allArchs plus the Polling mitigation: every receive path.
+var everyArch = []Arch{ArchBSD, ArchNILRP, ArchSoftLRP, ArchEarlyDemux, ArchPolling}
 
 var (
 	addrA = pkt.IP(10, 0, 0, 1)
@@ -418,6 +422,27 @@ func TestICMPPing(t *testing.T) {
 			r.eng.RunFor(sim.Second)
 			if got := r.server.EchoReplies(); got != 4 {
 				t.Fatalf("server sent %d echo replies, want 4", got)
+			}
+		})
+	}
+	// A 20000 B echo request travels as three fragments. Delivered in
+	// reverse order, the trailing two reach an LRP host before the head
+	// that maps them, so they wait on the fragment channel and the ICMP
+	// proxy must drain it to reassemble the request.
+	for _, arch := range []Arch{ArchBSD, ArchPolling, ArchNILRP, ArchSoftLRP} {
+		t.Run("fragmented/"+arch.String(), func(t *testing.T) {
+			r := newRig(t, arch)
+			frags := ipv4.Fragment(echoRequest(addrA, addrB, 7, 1, 20000-pkt.IPv4HeaderLen-8), ipv4.DefaultMTU)
+			if len(frags) != 3 {
+				t.Fatalf("%d fragments, want 3", len(frags))
+			}
+			for i := range frags {
+				f := frags[len(frags)-1-i]
+				r.eng.At(int64(1000*(i+1)), func() { r.nw.Inject(f) })
+			}
+			r.eng.RunFor(sim.Second)
+			if got := r.server.EchoReplies(); got != 1 {
+				t.Fatalf("server sent %d echo replies, want 1", got)
 			}
 		})
 	}

@@ -1,15 +1,18 @@
 // Package core composes the substrates into complete network-subsystem
 // architectures and implements the paper's contribution: lazy receiver
 // processing. It provides a Host abstraction — one simulated machine with
-// a kernel, a NIC, protocol state and a socket system-call API — in four
-// architecture variants that share all protocol code and differ only in
-// where, when and at whose expense receiver processing happens:
+// a kernel, a NIC, protocol state and a socket system-call API — in five
+// architecture variants that share all protocol code (one IP input
+// machine, input.go) and differ only in where, when and at whose expense
+// receiver processing happens:
 //
 //	ArchBSD        eager interrupt-driven processing, shared IP queue
 //	ArchNILRP      LRP with demultiplexing on the NIC's embedded CPU
 //	ArchSoftLRP    LRP with demultiplexing in the host interrupt handler
 //	ArchEarlyDemux early demux + early discard, but eager processing and
 //	               BSD accounting (the paper's ablation)
+//	ArchPolling    BSD processing with interrupts disabled and the ring
+//	               polled under overload (the related-work mitigation)
 package core
 
 // CostModel holds the CPU cost, in microseconds, of each processing step.

@@ -22,7 +22,7 @@ const idlePollInterval = 250
 // startICMPDaemon creates the ICMP proxy: a pseudo-socket bound to the
 // ICMP protocol with its own NI channel, drained by a daemon process that
 // is charged for the processing (and whose priority controls it). The
-// daemon body lives in daemonsteps.go (icmpdStep).
+// daemon body is proxyStep (daemonsteps.go).
 func (h *Host) startICMPDaemon() {
 	s := socket.NewSocket(socket.Dgram, nil)
 	s.Proto = pkt.ProtoICMP
@@ -32,7 +32,7 @@ func (h *Host) startICMPDaemon() {
 	h.icmpSock = s
 	h.attachChannel(s)
 	h.pcbs.BindProto(pkt.ProtoICMP, s)
-	proc := h.K.SpawnStep(h.Name+"/icmpd", 0, h.icmpdStep(s))
+	proc := h.K.SpawnStep(h.Name+"/icmpd", 0, h.proxyStep(s))
 	proc.Pinned = true // kernel daemon: never migrated off CPU 0
 	s.Owner = proc
 }
@@ -78,20 +78,24 @@ func (h *Host) EchoReplies() uint64 { return h.icmpEchoReplies }
 // the sender to observe them). payloadLen pads the request.
 func (h *Host) Ping(p *kernel.Proc, dst pkt.Addr, seqno uint16, payloadLen int) {
 	p.ComputeSys(h.CM.SyscallFixed + h.CM.IPOutCost)
-	seg := make([]byte, 8+payloadLen)
+	_ = h.ipOutput(p, nil, echoRequest(h.Addr, dst, h.nextIPID(), seqno, payloadLen))
+}
+
+// echoRequest builds an ICMP echo request packet with IP ID id and
+// payloadLen bytes of zero padding.
+func echoRequest(src, dst pkt.Addr, id, seqno uint16, payloadLen int) []byte {
+	b := make([]byte, pkt.IPv4HeaderLen+8+payloadLen)
+	seg := b[pkt.IPv4HeaderLen:]
 	seg[0] = 8 // echo request
 	binary.BigEndian.PutUint16(seg[6:], seqno)
 	binary.BigEndian.PutUint16(seg[2:], pkt.Checksum(seg))
-	b := make([]byte, pkt.IPv4HeaderLen+len(seg))
-	copy(b[pkt.IPv4HeaderLen:], seg)
-	oh := pkt.IPv4Header{
+	pkt.EncodeIPv4(b, &pkt.IPv4Header{
 		TotalLen: uint16(len(b)),
-		ID:       h.nextIPID(),
+		ID:       id,
 		TTL:      64,
 		Proto:    pkt.ProtoICMP,
-		Src:      h.Addr,
+		Src:      src,
 		Dst:      dst,
-	}
-	pkt.EncodeIPv4(b, &oh)
-	_ = h.ipOutput(p, nil, b)
+	})
+	return b
 }

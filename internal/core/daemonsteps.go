@@ -1,17 +1,18 @@
 package core
 
 // Step-machine bodies for the host's kernel daemon processes: the APP
-// thread, the idle-time protocol processing thread, the ICMP proxy and
-// the IP forwarding daemon. Each *Step factory returns a kernel.StepFn
-// whose locals live in the closure, so the scheduler can run the daemon
-// stacklessly — one function call per dispatch, no goroutine switch.
+// thread, the idle-time protocol processing thread, and the protocol
+// proxies (the ICMP proxy and the IP forwarding daemon). Each *Step
+// factory returns a kernel.StepFn whose locals live in the closure, so the
+// scheduler can run the daemon stacklessly — one function call per
+// dispatch, no goroutine switch. Every daemon hands its packets to the
+// one IP input machine (inputStep).
 
 import (
 	"lrp/internal/kernel"
 	"lrp/internal/mbuf"
 	"lrp/internal/nic"
 	"lrp/internal/pkt"
-	"lrp/internal/sim"
 	"lrp/internal/socket"
 )
 
@@ -80,13 +81,13 @@ type appDrainOp struct {
 	batch int
 	i     int
 	m     *mbuf.Mbuf
-	in    appInputOp
+	in    inputOp
 }
 
 // Channel-drain machine states.
 const (
 	drainEnter = iota // snapshot the batch bound
-	drainNext         // dequeue the next packet, charge for it
+	drainNext         // dequeue the next packet
 	drainInput        // protocol-process it; police the listen backlog
 	drainExit         // re-queue leftovers or re-arm the interrupt
 )
@@ -121,13 +122,10 @@ func (h *Host) appDrainStep(p *kernel.Proc, s *socket.Socket, fr *appDrainOp) bo
 				continue
 			}
 			fr.m = m
-			fr.in = appInputOp{}
+			fr.in = inputOp{}
 			fr.pc = drainInput
-			if p.ReqComputeSysFor(fr.owner, h.channelDequeueCost()+h.lrpProtoInCost(m.Data)) {
-				return false
-			}
 		case drainInput:
-			if !h.appProtoInputStep(p, fr.m, s, &fr.in) {
+			if !h.inputStep(p, fr.owner, s, fr.m, &fr.in) {
 				return false
 			}
 			fr.m = nil
@@ -164,115 +162,12 @@ func (h *Host) appDrainStep(p *kernel.Proc, s *socket.Socket, fr *appDrainOp) bo
 	}
 }
 
-// appInputOp is the frame of appProtoInputStep.
-type appInputOp struct {
-	pc      int
-	b       []byte
-	arrival sim.Time
-	whole   []byte
-	drain   fragDrainOp
-	hint    *socket.Socket
-	ih      pkt.IPv4Header
-	seg     []byte
-}
-
-// APP protocol-input machine states.
-const (
-	inEnter  = iota // read the packet, run reassembly
-	inDrain         // pull missing fragments off the fragment channel
-	inDecode        // decode the IP header, dispatch by protocol
-	inTWHint        // TIME_WAIT channel: PCB lookup charged, drop the hint
-	inTCP           // hand the segment to TCP
-)
-
-// appProtoInputStep is protoInput for APP context, with fragment-channel
-// support (the per-packet cost has been charged already by the drain
-// machine).
-func (h *Host) appProtoInputStep(p *kernel.Proc, m *mbuf.Mbuf, hint *socket.Socket, fr *appInputOp) bool {
-	for {
-		switch fr.pc {
-		case inEnter:
-			fr.hint = hint
-			fr.b = m.Data
-			fr.arrival = m.Arrival
-			// Release the slot before input, keep storage until done. The
-			// transfer spans scheduler yields, so the flow-sensitive pairing
-			// check cannot follow it: every state that completes the machine
-			// ends or detaches the transfer.
-			m.BeginTransfer() //lrp:nolint mbufown
-			whole, done := h.reasm.Input(fr.b, h.Eng.Now())
-			if !done {
-				fr.drain = fragDrainOp{}
-				fr.pc = inDrain
-				continue
-			}
-			fr.whole = whole
-			fr.pc = inDecode
-		case inDrain:
-			if !h.fragDrainStep(p, appOwner(fr.hint), fr.b, &fr.drain) {
-				return false
-			}
-			if !fr.drain.ok {
-				m.EndTransfer()
-				return true
-			}
-			fr.whole = fr.drain.whole
-			fr.pc = inDecode
-		case inDecode:
-			ih, hlen, err := pkt.DecodeIPv4(fr.whole)
-			if err != nil {
-				h.stats.MalformedDrops++
-				m.EndTransfer()
-				return true
-			}
-			fr.ih = ih
-			fr.seg = fr.whole[hlen:int(ih.TotalLen)]
-			switch ih.Proto {
-			case pkt.ProtoTCP:
-				// The hint socket is the channel owner, except for the shared
-				// TIME_WAIT channel where a PCB lookup is needed.
-				if fr.hint != nil && fr.hint.NIChan == h.twChan {
-					fr.pc = inTWHint
-					if p.ReqComputeSysFor(appOwner(fr.hint), h.CM.PCBLookupCost) {
-						return false
-					}
-					continue
-				}
-				fr.pc = inTCP
-			case pkt.ProtoUDP:
-				// Delivered datagrams alias the packet bytes; hand the mbuf
-				// along so the consumer can recycle the storage.
-				var own *mbuf.Mbuf
-				if aliases(fr.whole, fr.b) {
-					own = m
-				}
-				h.udpInput(&fr.ih, fr.seg, fr.arrival, fr.hint, own)
-				m.EndTransfer()
-				return true
-			default:
-				h.stats.NoMatchDrops++
-				m.EndTransfer()
-				return true
-			}
-		case inTWHint:
-			fr.hint = nil
-			fr.pc = inTCP
-		case inTCP:
-			h.tcpInput(&fr.ih, fr.seg, fr.hint) // TCP copies what it retains
-			m.EndTransfer()
-			return true
-		}
-	}
-}
-
 // Idle-thread machine states.
 const (
-	idleHead    = iota // start a fresh pass over the sockets
-	idleIter           // find the next channel with a queued packet
-	idleLazy           // protocol-process it on the owner's dime
-	idleFan            // multicast: fan the datagram out to the members
-	idleEnqueue        // unicast: append to the socket queue, wake receivers
-	idlePass           // pass done; nap if it found nothing
+	idleHead  = iota // start a fresh pass over the sockets
+	idleIter         // find the next channel with a queued packet
+	idleInput        // protocol-process it on the owner's dime
+	idlePass         // pass done; nap if it found nothing
 )
 
 // addIdleCandidate enters a UDP datagram socket on the idle thread's
@@ -315,9 +210,7 @@ func (h *Host) idleMainStep() kernel.StepFn {
 		did   bool
 		m     *mbuf.Mbuf
 		owner *kernel.Proc
-		d     socket.Datagram
-		lazy  lazyInputOp
-		fan   mcastFanoutOp
+		in    inputOp
 	)
 	return func(p *kernel.Proc) {
 		for {
@@ -348,52 +241,15 @@ func (h *Host) idleMainStep() kernel.StepFn {
 				}
 				did = true
 				owner = appOwner(s)
-				lazy = lazyInputOp{}
-				pc = idleLazy
-			case idleLazy:
-				if !h.udpLazyInputStep(p, owner, socks[i], m, &lazy) {
+				in = inputOp{}
+				pc = idleInput
+			case idleInput:
+				// Queue the datagram on the socket (or fan it out to a
+				// multicast group), charged to its owner.
+				if !h.inputStep(p, owner, socks[i], m, &in) {
 					return
 				}
 				m = nil
-				if !lazy.ok {
-					i++
-					pc = idleIter
-					continue
-				}
-				d = lazy.d
-				lazy = lazyInputOp{}
-				if g := h.groupOf(socks[i]); g != nil {
-					// Shared multicast channel: fan out to every member. The
-					// copies share the bytes, so disown the storage first.
-					if mm := d.M; mm != nil {
-						d.M = nil
-						mm.Detach()
-						mm.EndTransfer()
-					}
-					fan = mcastFanoutOp{members: g.members}
-					pc = idleFan
-					continue
-				}
-				pc = idleEnqueue
-				if p.ReqComputeSysFor(owner, h.CM.SockQueueCost) {
-					return
-				}
-			case idleFan:
-				if !h.mcastFanoutStep(p, d, &fan) {
-					return
-				}
-				fan = mcastFanoutOp{}
-				i++
-				pc = idleIter
-			case idleEnqueue:
-				s := socks[i]
-				if s.RecvDgrams.Enqueue(d) {
-					s.RcvWait.WakeupAll()
-				} else {
-					h.stats.SockQDrops++
-					d.Release() // queue refused; recycle the buffer now
-				}
-				d = socket.Datagram{}
 				i++
 				pc = idleIter
 			case idlePass:
@@ -408,53 +264,16 @@ func (h *Host) idleMainStep() kernel.StepFn {
 	}
 }
 
-// icmpdStep builds the ICMP proxy daemon body: drain the ICMP
-// pseudo-socket's NI channel, charging the daemon for the processing.
-func (h *Host) icmpdStep(s *socket.Socket) kernel.StepFn {
+// proxyStep builds the body of a protocol proxy daemon — the ICMP proxy
+// or the IP forwarding daemon: drain the pseudo-socket's NI channel
+// through IP input, charging the daemon for the processing. A transit
+// packet's protocol cost is IP input plus output (protoInCost), exactly
+// a forwarding daemon's work per packet.
+func (h *Host) proxyStep(s *socket.Socket) kernel.StepFn {
 	var (
 		pc int
 		m  *mbuf.Mbuf
-	)
-	return func(p *kernel.Proc) {
-		for {
-			switch pc {
-			case 0:
-				s.Owner = p
-				pc = 1
-			case 1:
-				m = s.NIChan.Queue.Dequeue()
-				if m == nil {
-					s.NIChan.IntrRequested = true
-					p.ReqSleep(&s.RcvWait)
-					return
-				}
-				pc = 2
-				if p.ReqComputeSys(h.channelDequeueCost() + h.lrpProtoInCost(m.Data)) {
-					return
-				}
-			case 2:
-				b := m.Data
-				m.BeginTransfer() // echo replies are built in fresh buffers
-				whole, done := h.reasm.Input(b, h.Eng.Now())
-				if done {
-					if ih, hlen, err := pkt.DecodeIPv4(whole); err == nil {
-						h.icmpProcess(&ih, whole[hlen:int(ih.TotalLen)])
-					}
-				}
-				m.EndTransfer()
-				m = nil
-				pc = 1
-			}
-		}
-	}
-}
-
-// ipfwdStep builds the IP forwarding daemon body: drain the forwarding
-// pseudo-socket's NI channel, charging the daemon per forwarded packet.
-func (h *Host) ipfwdStep(s *socket.Socket) kernel.StepFn {
-	var (
-		pc int
-		m  *mbuf.Mbuf
+		in inputOp
 	)
 	return func(p *kernel.Proc) {
 		for {
@@ -466,15 +285,12 @@ func (h *Host) ipfwdStep(s *socket.Socket) kernel.StepFn {
 					p.ReqSleep(&s.RcvWait)
 					return
 				}
+				in = inputOp{}
 				pc = 1
-				if p.ReqComputeSys(h.channelDequeueCost() + h.CM.IPInCost + h.CM.IPOutCost) {
+			case 1:
+				if !h.inputStep(p, p, s, m, &in) {
 					return
 				}
-			case 1:
-				b := m.Data
-				m.BeginTransfer() // forwardPacket rebuilds into its own buffer
-				h.forwardPacket(b)
-				m.EndTransfer()
 				m = nil
 				pc = 0
 			}

@@ -45,7 +45,7 @@ func (h *Host) EnableForwarding(nice int) {
 	h.sockets = append(h.sockets, s)
 	h.fwdSock = s
 	h.attachChannel(s)
-	proc := h.K.SpawnStep(h.Name+"/ipfwd", nice, h.ipfwdStep(s))
+	proc := h.K.SpawnStep(h.Name+"/ipfwd", nice, h.proxyStep(s))
 	proc.Pinned = true // kernel daemon: never migrated off CPU 0
 	s.Owner = proc
 }
@@ -68,14 +68,10 @@ func (h *Host) isForeign(b []byte) bool {
 	return dst != h.Addr && !dst.IsMulticast()
 }
 
-// forwardPacket decrements TTL, rebuilds the header in the transmit
-// scratch buffer, and retransmits. The caller accounts the CPU cost.
-func (h *Host) forwardPacket(b []byte) {
-	ih, _, err := pkt.DecodeIPv4(b)
-	if err != nil {
-		h.fwdStats.FwdErrors++
-		return
-	}
+// forwardPacket decrements the TTL in ih, the decoded header of packet b,
+// rebuilds b in the transmit scratch buffer, and retransmits it. The
+// caller accounts the CPU cost.
+func (h *Host) forwardPacket(ih *pkt.IPv4Header, b []byte) {
 	if ih.TTL <= 1 {
 		// A router would send ICMP time-exceeded; the simulation counts
 		// and drops.
@@ -84,7 +80,7 @@ func (h *Host) forwardPacket(b []byte) {
 	}
 	h.txScratch = append(h.txScratch[:0], b[:int(ih.TotalLen)]...) //lrp:coldalloc amortized: the scratch grows to the largest packet the host sends, then is reused
 	ih.TTL--
-	pkt.EncodeIPv4(h.txScratch, &ih)
+	pkt.EncodeIPv4(h.txScratch, ih)
 	if h.ipOutput(nil, nil, h.txScratch) == nil {
 		h.fwdStats.Forwarded++
 	} else {

@@ -107,16 +107,6 @@ func (h *Host) groupOf(s *socket.Socket) *mcastGroup {
 	return h.mcastBySock[s]
 }
 
-// mcastFanout delivers one processed datagram to every member socket (see
-// mcastFanoutStep). p may be nil for softint callers whose cost was
-// pre-charged — the machine then never yields, so Block is never reached.
-func (h *Host) mcastFanout(p *kernel.Proc, g *mcastGroup, d socket.Datagram) {
-	fr := mcastFanoutOp{members: g.members}
-	for !h.mcastFanoutStep(p, d, &fr) {
-		p.Block()
-	}
-}
-
 // mcastOwnerPrio returns the best (lowest) priority among member owners;
 // the group socket's Owner mirrors that process so channel signals and
 // APP charging follow "the highest of the participating processes'

@@ -1,9 +1,9 @@
 package core
 
 // Receive-path drivers: where each architecture spends host CPU between a
-// packet's arrival and its delivery to a socket. All four paths feed the
-// same protocol code (protoInput, udpInput, tcpInput); they differ in the
-// execution context, the discard point, and the accounting.
+// packet's arrival and its IP input (input.go). Every path ends in the same
+// input machine; they differ in the execution context, the discard point,
+// and the accounting.
 
 import (
 	"lrp/internal/demux"
@@ -101,9 +101,10 @@ func (h *Host) headDemuxCost(q int) int64 {
 //lrp:hotpath
 func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
 	sock, v := h.pcbs.Classify(m.Data, h.Eng.Now())
-	if (v == demux.Match || v == demux.NoMatch) && h.forwarding && h.isForeign(m.Data) {
-		// Transit traffic. (A Match can occur when a local port number
-		// coincides with a foreign packet's; the address check wins.)
+	if v != demux.Malformed && h.forwarding && h.isForeign(m.Data) {
+		// Transit traffic, whatever the verdict: the address check wins
+		// over a local port number that coincides with a foreign packet's,
+		// over the ICMP proxy, and over the fragment channel.
 		h.deliverForeignOn(k, m)
 		return
 	}
@@ -126,6 +127,13 @@ func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
 		m.Free()
 		return
 	case demux.FragMiss:
+		if h.fragChan == nil {
+			// Early-Demux has no fragment channel: eager input reassembles
+			// the fragment and pays the PCB lookup that a mapping would
+			// have let it skip.
+			h.earlyDemuxDeliver(k, nil, m)
+			return
+		}
 		// Fragment with no mapping yet: the special fragment channel,
 		// consulted by reassembly when it misses fragments.
 		h.fragChan.Deliver(m)
@@ -211,14 +219,15 @@ func (h *Host) channelSignal(sock *socket.Socket, ch *nic.Channel) {
 // earlyDemuxDeliver implements the paper's Early-Demux ablation: drop
 // immediately if the destination socket cannot accept more data, otherwise
 // schedule conventional (eager, softint, BSD-accounted) processing on the
-// CPU k whose interrupt carried the packet.
+// CPU k whose interrupt carried the packet. A nil sock (a fragment the
+// demultiplexer could not map) skips the discard checks.
 func (h *Host) earlyDemuxDeliver(k *kernel.Kernel, sock *socket.Socket, m *mbuf.Mbuf) {
-	if sock.Type == socket.Dgram && sock.RecvDgrams != nil && sock.RecvDgrams.Full() {
+	if sock != nil && sock.Type == socket.Dgram && sock.RecvDgrams != nil && sock.RecvDgrams.Full() {
 		h.stats.EarlyDrops++
 		m.Free()
 		return
 	}
-	if sock.Type == socket.Stream && sock.Listening {
+	if sock != nil && sock.Type == socket.Stream && sock.Listening {
 		if c, ok := sock.Conn.(*tcp.Conn); ok && c.BacklogFull() && isSYN(m.Data) {
 			h.stats.EarlyDrops++
 			m.Free()
@@ -226,10 +235,10 @@ func (h *Host) earlyDemuxDeliver(k *kernel.Kernel, sock *socket.Socket, m *mbuf.
 		}
 	}
 	swEmpty := k.SWPending() == 0
-	// PCB lookup is bypassed: the demultiplexer already identified the
-	// socket ("Due to the early demultiplexing, UDP's PCB lookup was
-	// bypassed, as in the LRP kernels").
-	cost := h.protoInCost(m.Data, false) + h.CM.EagerProtoPenalty
+	// PCB lookup is bypassed when the demultiplexer identified the socket
+	// ("Due to the early demultiplexing, UDP's PCB lookup was bypassed, as
+	// in the LRP kernels").
+	cost := h.protoInCost(m.Data, sock == nil) + h.CM.EagerProtoPenalty
 	if swEmpty {
 		cost += h.CM.SWDispatchFixed
 	}
@@ -255,12 +264,7 @@ func (h *Host) deliverForeignOn(k *kernel.Kernel, m *mbuf.Mbuf) {
 	if swEmpty {
 		cost += h.CM.SWDispatchFixed
 	}
-	k.PostSW(kernel.WorkItem{Cost: cost, Fn: func() {
-		b := m.Data
-		m.BeginTransfer() // release the slot first, as the old free-then-read did
-		h.forwardPacket(b)
-		m.EndTransfer()
-	}})
+	k.PostSW(kernel.WorkItem{Cost: cost, Fn: func() { h.protoInput(m, nil) }})
 }
 
 // isSYN reports whether a raw packet is a TCP SYN (no ACK).
@@ -275,174 +279,4 @@ func isSYN(b []byte) bool {
 	}
 	fl := seg[13]
 	return fl&pkt.TCPSyn != 0 && fl&pkt.TCPAck == 0
-}
-
-// ---------------------------------------------------------------------------
-// Shared protocol input (the "same 4.4BSD networking code" of the paper).
-
-// protoInput performs full protocol input processing for one raw packet.
-// sockHint, when non-nil, identifies the destination (early demux did the
-// lookup); otherwise a PCB lookup resolves it. The CPU cost was accounted
-// by the caller's context.
-//
-// The mbuf's pool slot is released up front (protocol input can itself
-// allocate — ACKs, echo replies — and must see the same pool occupancy as
-// before buffer recycling); the storage is recycled at the end, once
-// nothing references the raw bytes. Only delivered UDP payload outlives
-// this function, and that path takes its own reference on the mbuf so the
-// consumer can recycle the buffer (Datagram.Release).
-//
-//lrp:hotpath
-func (h *Host) protoInput(m *mbuf.Mbuf, sockHint *socket.Socket) {
-	b := m.Data
-	arrival := m.Arrival
-	m.BeginTransfer()
-	whole, done := h.reasm.Input(b, h.Eng.Now())
-	if !done {
-		m.EndTransfer() // fragment payload was copied by the reassembler
-		return
-	}
-	ih, hlen, err := pkt.DecodeIPv4(whole)
-	if err != nil {
-		h.stats.MalformedDrops++
-		m.EndTransfer()
-		return
-	}
-	if ih.Dst != h.Addr && !ih.Dst.IsMulticast() {
-		// Not ours: forward (in this — softint — context, charged to
-		// whoever runs, under the eager architectures) or drop.
-		if h.forwarding {
-			h.forwardPacket(whole)
-		} else {
-			h.stats.NoMatchDrops++
-		}
-		m.EndTransfer() // forwardPacket rebuilt the packet in its own buffer
-		return
-	}
-	seg := whole[hlen:int(ih.TotalLen)]
-	switch ih.Proto {
-	case pkt.ProtoUDP:
-		// Delivered datagrams alias the packet bytes for as long as the
-		// application holds them: when the storage is ours, pass the mbuf
-		// along so the delivery can hand it to the consumer for recycling.
-		var own *mbuf.Mbuf
-		if aliases(whole, b) {
-			own = m
-		}
-		h.udpInput(&ih, seg, arrival, sockHint, own)
-	case pkt.ProtoTCP:
-		h.tcpInput(&ih, seg, sockHint) // TCP copies what it retains
-	case pkt.ProtoICMP:
-		h.icmpProcess(&ih, seg) // replies are built in fresh buffers
-	default:
-		h.stats.NoMatchDrops++
-	}
-	m.EndTransfer()
-}
-
-// aliases reports whether x is backed by the same bytes as the original
-// packet b — i.e. whether the reassembler passed the packet through rather
-// than assembling a fresh buffer.
-func aliases(x, b []byte) bool {
-	return len(x) > 0 && len(b) > 0 && &x[0] == &b[0]
-}
-
-// udpInput validates a UDP datagram and appends it to the destination
-// socket queue. m, when non-nil, is the packet's mbuf whose storage backs
-// seg and whose release still belongs to the caller: on delivery udpInput
-// takes an extra reference and attaches it to the datagram so the consumer
-// can recycle the buffer; on a drop the caller's release recycles it.
-//
-//lrp:hotpath
-func (h *Host) udpInput(ih *pkt.IPv4Header, seg []byte, arrival int64, sock *socket.Socket, m *mbuf.Mbuf) {
-	uh, err := pkt.DecodeUDP(seg, ih.Src, ih.Dst)
-	if err != nil {
-		h.protoDrop(sock)
-		return
-	}
-	if sock == nil {
-		s, v := h.lookupSocket(ih, uh.SrcPort, uh.DstPort)
-		if v != demux.Match {
-			h.stats.NoMatchDrops++
-			return
-		}
-		sock = s
-	}
-	if sock.Closed || sock.RecvDgrams == nil {
-		h.stats.NoMatchDrops++
-		return
-	}
-	d := socket.Datagram{
-		Data:    seg[pkt.UDPHeaderLen:int(uh.Length)],
-		Src:     ih.Src,
-		SPort:   uh.SrcPort,
-		Arrival: arrival,
-	}
-	if g := h.groupOf(sock); g != nil {
-		// Multicast: fan the datagram out to every member socket. The
-		// copies share the bytes, so no member may recycle them — disown
-		// the storage and let the collector reclaim it.
-		if m != nil {
-			m.Detach()
-		}
-		h.mcastFanout(nil, g, d)
-		return
-	}
-	if m != nil {
-		d.M = m
-		m.AddRef() // the queue's reference; dropped again if the queue refuses
-	}
-	if !sock.RecvDgrams.Enqueue(d) {
-		h.stats.SockQDrops++
-		if m != nil {
-			m.EndTransfer()
-		}
-		if h.Trace != nil {
-			h.Trace.Add(trace.KindDrop, "%s: socket queue overflow port %d", h.Name, sock.LPort) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-		}
-		return // socket queue overflow
-	}
-	if h.Trace != nil {
-		h.Trace.Add(trace.KindDeliver, "%s: udp %d bytes -> port %d", h.Name, len(d.Data), sock.LPort) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-	}
-	sock.Stats.RxDelivered++
-	sock.Stats.RxBytes += uint64(len(d.Data))
-	sock.RcvWait.WakeupAll()
-}
-
-// tcpInput validates a TCP segment and hands it to the connection state
-// machine.
-func (h *Host) tcpInput(ih *pkt.IPv4Header, seg []byte, sock *socket.Socket) {
-	th, off, err := pkt.DecodeTCP(seg, ih.Src, ih.Dst)
-	if err != nil {
-		h.protoDrop(sock)
-		return
-	}
-	if sock == nil {
-		s, v := h.lookupSocket(ih, th.SrcPort, th.DstPort)
-		if v != demux.Match {
-			// No endpoint: a real stack would answer RST; the overload
-			// experiments only need the drop.
-			h.stats.NoMatchDrops++
-			return
-		}
-		sock = s
-	}
-	c, ok := sock.Conn.(*tcp.Conn)
-	if !ok || c == nil {
-		h.stats.NoMatchDrops++
-		return
-	}
-	c.Input(ih.Src, &th, seg[off:])
-}
-
-// lookupSocket performs the BSD PCB lookup (exact then wildcard).
-func (h *Host) lookupSocket(ih *pkt.IPv4Header, sport, dport uint16) (*socket.Socket, demux.Verdict) {
-	if s, ok := h.pcbs.LookupConnected(ih.Proto, ih.Dst, dport, ih.Src, sport); ok {
-		return s, demux.Match
-	}
-	if s, ok := h.pcbs.LookupListen(ih.Proto, ih.Dst, dport); ok {
-		return s, demux.Match
-	}
-	return nil, demux.NoMatch
 }

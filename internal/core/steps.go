@@ -15,10 +15,13 @@ package core
 //
 // Fidelity rule: each machine replicates the exact interleaving of reads,
 // mutations and yields of the blocking original it replaced — e.g. the
-// receive deadline is computed before the syscall charge, a raw packet's
-// bytes are read only after the protocol-processing charge, and zero-cost
+// receive deadline is computed before the syscall charge, and zero-cost
 // charges fall through inline without yielding, exactly as the blocking
 // Compute variants return without yielding.
+//
+// A receive call's lazy protocol processing is not in this file: the
+// receiver runs the host's one IP input machine (inputStep, input.go) on
+// each raw packet it takes off its NI channel, paying for it itself.
 
 import (
 	"lrp/internal/ipv4"
@@ -117,9 +120,7 @@ type RecvFromOp struct {
 	deadline sim.Time
 	g        *mcastGroup
 	m        *mbuf.Mbuf
-	lazy     lazyInputOp
-	fan      mcastFanoutOp
-	fanD     socket.Datagram
+	in       inputOp
 
 	// Results, valid once Step returns true: the datagram, whether one
 	// arrived (false only on a Timed expiry), and any error.
@@ -142,8 +143,7 @@ const (
 	recvLazy             // unicast: lazy protocol processing of one raw packet
 	recvTimedWake        // unicast: woke from a timed sleep
 	recvMcastLoop        // multicast: poll queues or sleep
-	recvMcastLazy        // multicast: lazy processing on the shared channel
-	recvMcastFan         // multicast: fan a datagram out to the members
+	recvMcastLazy        // multicast: lazy processing and fan-out on the shared channel
 	recvDone             // final copy-out charge issued
 )
 
@@ -190,7 +190,7 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 			if s.NIChan != nil {
 				if m := s.NIChan.Queue.Dequeue(); m != nil {
 					fr.m = m
-					fr.lazy = lazyInputOp{}
+					fr.in = inputOp{recv: true}
 					fr.pc = recvLazy
 					continue
 				}
@@ -213,15 +213,15 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 			}
 			fr.pc = recvLoop
 		case recvLazy:
-			if !h.udpLazyInputStep(p, p, s, fr.m, &fr.lazy) {
+			if !h.inputStep(p, p, s, fr.m, &fr.in) {
 				return false
 			}
 			fr.m = nil
-			if !fr.lazy.ok {
+			if !fr.in.ok {
 				fr.pc = recvLoop // bad packet; keep trying
 				continue
 			}
-			fr.D = fr.lazy.d
+			fr.D = fr.in.d
 			fr.OK = true
 			fr.pc = recvDone
 			if p.ReqComputeSys(h.CM.CopyCost(len(fr.D.Data))) {
@@ -246,7 +246,7 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 			if ch := fr.g.gsock.NIChan; ch != nil {
 				if m := ch.Queue.Dequeue(); m != nil {
 					fr.m = m
-					fr.lazy = lazyInputOp{}
+					fr.in = inputOp{}
 					fr.pc = recvMcastLazy
 					continue
 				}
@@ -256,237 +256,14 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 			p.ReqSleep(&s.RcvWait)
 			return false
 		case recvMcastLazy:
-			if !h.udpLazyInputStep(p, p, fr.g.gsock, fr.m, &fr.lazy) {
+			// The group socket's datagram fans out to every member.
+			if !h.inputStep(p, p, fr.g.gsock, fr.m, &fr.in) {
 				return false
 			}
 			fr.m = nil
-			if !fr.lazy.ok {
-				fr.pc = recvMcastLoop
-				continue
-			}
-			fr.fanD = fr.lazy.d
-			if mm := fr.fanD.M; mm != nil {
-				// Fanout copies share the bytes, so no member may recycle
-				// them: disown the storage (the GC reclaims it) and recycle
-				// just the struct, as the pre-handoff code did.
-				fr.fanD.M = nil
-				mm.Detach()
-				mm.EndTransfer()
-			}
-			fr.fan = mcastFanoutOp{members: fr.g.members}
-			fr.pc = recvMcastFan
-		case recvMcastFan:
-			if !h.mcastFanoutStep(p, fr.fanD, &fr.fan) {
-				return false
-			}
-			fr.fan = mcastFanoutOp{}
 			fr.pc = recvMcastLoop // our own queue now holds the datagram
 		case recvDone:
 			return true
-		}
-	}
-}
-
-// lazyInputOp is the frame of udpLazyInputStep: IP+UDP receive processing
-// for one raw packet in process context.
-type lazyInputOp struct {
-	pc      int
-	b       []byte
-	arrival sim.Time
-	whole   []byte
-	drain   fragDrainOp
-	d       socket.Datagram
-	ok      bool
-}
-
-// Lazy-input machine states.
-const (
-	lazyCharge  = iota // charge dequeue + protocol-processing cost
-	lazyProcess        // read the packet, run reassembly
-	lazyDrain          // pull missing fragments off the fragment channel
-	lazyDecode         // decode headers and build the datagram
-)
-
-// udpLazyInputStep performs IP+UDP receive processing for one raw packet
-// in process context. CPU is consumed by p but charged to owner (identical
-// to p for a process in a receive call; the socket owner when the idle
-// thread processes on its behalf). It consults the fragment channel when
-// reassembly is missing pieces.
-func (h *Host) udpLazyInputStep(p, owner *kernel.Proc, s *socket.Socket, m *mbuf.Mbuf, fr *lazyInputOp) bool {
-	for {
-		switch fr.pc {
-		case lazyCharge:
-			fr.pc = lazyProcess
-			if p.ReqComputeSysFor(owner, h.channelDequeueCost()+h.lrpProtoInCost(m.Data)) {
-				return false
-			}
-		case lazyProcess:
-			fr.b = m.Data
-			fr.arrival = m.Arrival
-			// Release the pool slot before protocol processing (matching the
-			// old free-then-read accounting) but keep the storage until the
-			// raw bytes are no longer needed — or hand the mbuf to the
-			// delivered datagram when the bytes escape into it. The transfer
-			// spans scheduler yields, so the flow-sensitive pairing check
-			// cannot follow it: every state that completes the machine ends
-			// the transfer or moves its ownership into Datagram.M.
-			m.BeginTransfer() //lrp:nolint mbufown
-			whole, done := h.reasm.Input(fr.b, h.Eng.Now())
-			if !done {
-				fr.drain = fragDrainOp{}
-				fr.pc = lazyDrain
-				continue
-			}
-			fr.whole = whole
-			fr.pc = lazyDecode
-		case lazyDrain:
-			if !h.fragDrainStep(p, owner, fr.b, &fr.drain) {
-				return false
-			}
-			if !fr.drain.ok {
-				m.EndTransfer()
-				return true // ok=false
-			}
-			fr.whole = fr.drain.whole
-			fr.pc = lazyDecode
-		case lazyDecode:
-			whole := fr.whole
-			ih, hlen, err := pkt.DecodeIPv4(whole)
-			if err != nil || ih.Proto != pkt.ProtoUDP {
-				h.protoDrop(s)
-				m.EndTransfer()
-				return true
-			}
-			seg := whole[hlen:int(ih.TotalLen)]
-			uh, err := pkt.DecodeUDP(seg, ih.Src, ih.Dst)
-			if err != nil {
-				h.protoDrop(s)
-				m.EndTransfer()
-				return true
-			}
-			s.Stats.RxDelivered++
-			s.Stats.RxBytes += uint64(int(uh.Length) - pkt.UDPHeaderLen)
-			var own *mbuf.Mbuf
-			if aliases(whole, fr.b) {
-				// The datagram rides in the packet's own buffer: hand the
-				// mbuf over with it so the consumer can recycle the storage
-				// once the bytes are dead (Datagram.Release).
-				own = m
-			} else {
-				m.EndTransfer() // reassembled elsewhere; packet buffer is done
-			}
-			fr.d = socket.Datagram{
-				Data:    seg[pkt.UDPHeaderLen:int(uh.Length)],
-				Src:     ih.Src,
-				SPort:   uh.SrcPort,
-				Arrival: fr.arrival,
-				M:       own,
-			}
-			fr.ok = true
-			return true
-		}
-	}
-}
-
-// fragDrainOp is the frame of fragDrainStep.
-type fragDrainOp struct {
-	pc    int
-	fm    *mbuf.Mbuf
-	whole []byte
-	ok    bool
-}
-
-// Fragment-drain machine states.
-const (
-	fragCheck   = iota // is reassembly actually missing pieces?
-	fragDequeue        // pull the next queued fragment, charge for it
-	fragInput          // feed it to the reassembler
-)
-
-// fragDrainStep feeds packets from the special fragment channel to the
-// reassembler ("The IP reassembly function checks this channel queue when
-// it misses fragments during reassembly"). Completes with ok and the
-// assembled datagram if one emerges. p may be nil (engine-context callers
-// that pre-charged); a nil p never yields.
-func (h *Host) fragDrainStep(p, owner *kernel.Proc, trigger []byte, fr *fragDrainOp) bool {
-	for {
-		switch fr.pc {
-		case fragCheck:
-			if h.fragChan == nil {
-				return true
-			}
-			ih, _, err := pkt.DecodeIPv4(trigger)
-			if err != nil || !h.reasm.MissingFor(ih.Src, ih.Dst, ih.ID, ih.Proto) {
-				return true
-			}
-			fr.pc = fragDequeue
-		case fragDequeue:
-			fm := h.fragChan.Queue.Dequeue()
-			if fm == nil {
-				return true // ok=false
-			}
-			fr.fm = fm
-			fr.pc = fragInput
-			if p != nil && p.ReqComputeSysFor(owner, h.CM.IPInCost) {
-				return false
-			}
-		case fragInput:
-			// Fragments are copied by the reassembler; the assembled datagram
-			// never aliases this mbuf, so its storage recycles immediately.
-			fb := fr.fm.Data
-			fr.fm.BeginTransfer()
-			whole, done := h.reasm.Input(fb, h.Eng.Now())
-			fr.fm.EndTransfer()
-			fr.fm = nil
-			if done {
-				fr.whole = whole
-				fr.ok = true
-				return true
-			}
-			fr.pc = fragDequeue
-		}
-	}
-}
-
-// mcastFanoutOp is the frame of mcastFanoutStep. The member list is
-// captured when the frame is initialized, like the range clause of the
-// loop it replaces.
-type mcastFanoutOp struct {
-	pc      int
-	members []*socket.Socket
-	i       int
-}
-
-// mcastFanoutStep delivers one processed datagram to every member socket.
-// Each enqueue costs SockQueueCost in the current context (p may be nil
-// for softint callers whose cost was pre-charged; a nil p never yields).
-func (h *Host) mcastFanoutStep(p *kernel.Proc, d socket.Datagram, fr *mcastFanoutOp) bool {
-	for {
-		switch fr.pc {
-		case 0:
-			if fr.i >= len(fr.members) {
-				return true
-			}
-			m := fr.members[fr.i]
-			if m.Closed || m.RecvDgrams == nil {
-				fr.i++
-				continue
-			}
-			fr.pc = 1
-			if p != nil && p.ReqComputeSys(h.CM.SockQueueCost) {
-				return false
-			}
-		case 1:
-			m := fr.members[fr.i]
-			if m.RecvDgrams.Enqueue(d) {
-				m.Stats.RxDelivered++
-				m.Stats.RxBytes += uint64(len(d.Data))
-				m.RcvWait.WakeupAll()
-			} else {
-				h.stats.SockQDrops++
-			}
-			fr.i++
-			fr.pc = 0
 		}
 	}
 }

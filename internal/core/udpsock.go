@@ -3,8 +3,9 @@ package core
 // UDP socket system calls. The receive path is where the architectures
 // diverge: under BSD and Early-Demux, datagrams were already processed by
 // a software interrupt and sit in the socket queue; under LRP, raw packets
-// wait on the socket's NI channel and are processed lazily here, in the
-// context (and at the expense) of the receiving process.
+// wait on the socket's NI channel and the receive call runs IP input on
+// them lazily (RecvFromStep), in the context (and at the expense) of the
+// receiving process.
 
 import (
 	"errors"
@@ -12,7 +13,6 @@ import (
 	"lrp/internal/demux"
 	"lrp/internal/ipv4"
 	"lrp/internal/kernel"
-	"lrp/internal/mbuf"
 	"lrp/internal/pkt"
 	"lrp/internal/socket"
 )
@@ -147,38 +147,6 @@ func (h *Host) RecvFromTimeout(p *kernel.Proc, s *socket.Socket, timeout int64) 
 		p.Block()
 	}
 	return fr.D, fr.OK, fr.Err
-}
-
-// TryRecvFrom is the non-blocking variant; ok reports whether a datagram
-// was available.
-func (h *Host) TryRecvFrom(p *kernel.Proc, s *socket.Socket) (socket.Datagram, bool) {
-	p.ComputeSys(h.CM.SyscallFixed)
-	if d, ok := s.RecvDgrams.Dequeue(); ok {
-		p.ComputeSys(h.CM.SockQueueCost + h.CM.CopyCost(len(d.Data)))
-		return d, true
-	}
-	if s.NIChan != nil {
-		if m := s.NIChan.Queue.Dequeue(); m != nil {
-			if d, ok := h.udpLazyInput(p, p, s, m); ok {
-				p.ComputeSys(h.CM.CopyCost(len(d.Data)))
-				return d, true
-			}
-		}
-	}
-	return socket.Datagram{}, false
-}
-
-// udpLazyInput performs IP+UDP receive processing for one raw packet in
-// process context. CPU is consumed by p but charged to owner (identical to
-// p for a process in a receive call; the socket owner when the idle thread
-// processes on its behalf). It consults the fragment channel when
-// reassembly is missing pieces.
-func (h *Host) udpLazyInput(p, owner *kernel.Proc, s *socket.Socket, m *mbuf.Mbuf) (socket.Datagram, bool) {
-	var fr lazyInputOp
-	for !h.udpLazyInputStep(p, owner, s, m, &fr) {
-		p.Block()
-	}
-	return fr.d, fr.ok
 }
 
 // CloseUDP closes a datagram socket, releasing its port, channel and any

@@ -52,14 +52,13 @@ type port struct {
 	// faults, when non-nil, impairs traffic delivered to this port, on
 	// top of the network-wide pipeline.
 	faults *fault.Pipeline
-	// routes are this port's next-hop entries: traffic transmitted (or
-	// injected) from this attachment for a matching destination is handed
-	// to the attached host at the entry's gateway address, even when the
-	// destination is itself attached. This is what makes multi-hop
-	// topologies expressible on one switch fabric: each segment of a
-	// forwarding chain is a per-port route pointing at the next hop,
-	// rather than a (single, global) destination route. Nil until the
-	// first AddRouteFrom.
+	// routes are this port's next-hop entries, the network's only route
+	// table: traffic transmitted (or injected) from this attachment for a
+	// matching destination is handed to the attached host at the entry's
+	// gateway address, even when the destination is itself attached. This
+	// is what makes multi-hop topologies expressible on one switch fabric:
+	// each segment of a forwarding chain is a per-port route pointing at
+	// the next hop. Nil until the first AddRouteFrom.
 	routes map[pkt.Addr]pkt.Addr
 }
 
@@ -70,10 +69,9 @@ type Network struct {
 	// timing.
 	FrameOverhead int
 
-	ports  map[pkt.Addr]*port
-	order  []*port // attachment order, for deterministic multicast fanout
-	routes map[pkt.Addr]pkt.Addr
-	stats  Stats
+	ports map[pkt.Addr]*port
+	order []*port // attachment order, for deterministic multicast fanout
+	stats Stats
 
 	// faults, when non-nil, impairs every delivery on the network.
 	faults *fault.Pipeline
@@ -150,7 +148,6 @@ func New(eng *sim.Engine) *Network {
 		Eng:           eng,
 		FrameOverhead: DefaultFrameOverhead,
 		ports:         make(map[pkt.Addr]*port),
-		routes:        make(map[pkt.Addr]pkt.Addr),
 	}
 }
 
@@ -272,13 +269,6 @@ func (nw *Network) route(from *port, b []byte, m *mbuf.Mbuf, propDelay int64) {
 	}
 	dst, ok := nw.ports[ih.Dst]
 	if !ok {
-		if via, hasRoute := nw.routes[ih.Dst]; hasRoute {
-			if gw, gok := nw.ports[via]; gok {
-				*rcDst, *rcVia = ih.Dst, gw
-				nw.deliverTo(gw, b, m, propDelay)
-				return
-			}
-		}
 		nw.stats.NoRoute++
 		m.EndTransfer()
 		return
@@ -377,14 +367,6 @@ func (nw *Network) routesChanged() {
 	}
 }
 
-// AddRoute makes traffic for an unattached destination address travel via
-// the attached gateway host at via (which must run IP forwarding for the
-// traffic to go anywhere).
-func (nw *Network) AddRoute(dst, via pkt.Addr) {
-	nw.routes[dst] = via
-	nw.routesChanged()
-}
-
 // AddRouteFrom installs a next-hop route on the attachment at from:
 // traffic leaving that port for dst is delivered to the attached host at
 // via (which must forward it onward). Per-port routes take precedence
@@ -408,10 +390,10 @@ func (nw *Network) AddRouteFrom(from, dst, via pkt.Addr) error {
 }
 
 // NextHopFrom reports where a packet for dst leaving the attachment at
-// from would be delivered: the per-port next hop, the direct attachment,
-// or the network-wide gateway route, in that order of precedence. ok is
-// false when the packet would be dropped with NoRoute. Topology builders
-// use it to validate reachability without sending traffic.
+// from would be delivered: the per-port next hop, else the direct
+// attachment. ok is false when the packet would be dropped with NoRoute.
+// Topology builders use it to validate reachability without sending
+// traffic.
 func (nw *Network) NextHopFrom(from, dst pkt.Addr) (pkt.Addr, bool) {
 	if p, ok := nw.ports[from]; ok && p.routes != nil {
 		if via, ok := p.routes[dst]; ok {
@@ -421,10 +403,6 @@ func (nw *Network) NextHopFrom(from, dst pkt.Addr) (pkt.Addr, bool) {
 	}
 	if _, ok := nw.ports[dst]; ok {
 		return dst, true
-	}
-	if via, ok := nw.routes[dst]; ok {
-		_, attached := nw.ports[via]
-		return via, attached
 	}
 	return pkt.Addr{}, false
 }

@@ -219,14 +219,13 @@ func TestMulticastFanoutDelivery(t *testing.T) {
 }
 
 func TestRouteViaGateway(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng)
-	gw := nic.New(eng, nic.Config{Mode: nic.ModeRaw})
-	nw.Attach(gw, addrB, mbps155, 10)
+	eng, nw, _, gw := twoHosts(t)
 	far := pkt.IP(172, 16, 0, 9)
-	nw.AddRoute(far, addrB)
+	if err := nw.AddRouteFrom(addrA, far, addrB); err != nil {
+		t.Fatal(err)
+	}
 	eng.At(0, func() {
-		nw.Inject(pkt.UDPPacket(addrA, far, 1, 7, 1, 64, nil, true))
+		nw.InjectFrom(addrA, pkt.UDPPacket(addrA, far, 1, 7, 1, 64, nil, true))
 	})
 	eng.Run()
 	if gw.RxPending() != 1 {
@@ -237,7 +236,7 @@ func TestRouteViaGateway(t *testing.T) {
 	}
 	// Unrouted foreign destination still counts NoRoute.
 	eng.At(eng.Now()+1, func() {
-		nw.Inject(pkt.UDPPacket(addrA, pkt.IP(172, 16, 0, 10), 1, 7, 1, 64, nil, true))
+		nw.InjectFrom(addrA, pkt.UDPPacket(addrA, pkt.IP(172, 16, 0, 10), 1, 7, 1, 64, nil, true))
 	})
 	eng.Run()
 	if nw.Stats().NoRoute != 1 {
@@ -285,35 +284,18 @@ func TestMalformedInjectNoRoute(t *testing.T) {
 	}
 }
 
-func TestRouteViaDetachedGatewayNoRoute(t *testing.T) {
-	// A route whose gateway host is not attached must fall through to
-	// NoRoute accounting, not panic or deliver.
-	eng := sim.NewEngine()
-	nw := New(eng)
-	far := pkt.IP(172, 16, 0, 9)
-	nw.AddRoute(far, addrB) // addrB never attached
-	eng.At(0, func() {
-		nw.Inject(pkt.UDPPacket(addrA, far, 1, 7, 1, 64, nil, true))
-	})
-	eng.Run()
-	if s := nw.Stats(); s.NoRoute != 1 || s.Delivered != 0 {
-		t.Fatalf("detached gateway: stats %+v, want NoRoute=1 Delivered=0", s)
-	}
-}
-
 func TestRouteViaGatewayReleasesMbuf(t *testing.T) {
 	// The gateway delivery path must consume the wire reference exactly
 	// once: after delivery the sender pool drains back to zero.
-	eng := sim.NewEngine()
-	nw := New(eng)
-	gw := nic.New(eng, nic.Config{Mode: nic.ModeRaw})
-	nw.Attach(gw, addrB, mbps155, 10)
+	eng, nw, _, gw := twoHosts(t)
 	far := pkt.IP(172, 16, 0, 9)
-	nw.AddRoute(far, addrB)
+	if err := nw.AddRouteFrom(addrA, far, addrB); err != nil {
+		t.Fatal(err)
+	}
 	pool := mbuf.NewPool(8)
 	eng.At(0, func() {
 		m := pool.AllocCopy(pkt.UDPPacket(addrA, far, 1, 7, 1, 64, nil, true))
-		nw.InjectMbuf(m)
+		nw.InjectMbufFrom(addrA, m)
 	})
 	eng.Run()
 	if gw.RxPending() != 1 {

@@ -101,12 +101,8 @@ func TestNextHopFromPrecedence(t *testing.T) {
 	if hop, ok := nw.NextHopFrom(addrA, addrC); !ok || hop != addrB {
 		t.Fatalf("per-port: hop=%v ok=%v", hop, ok)
 	}
-	// Network-wide routes answer for everyone else.
-	nw.AddRoute(far, addrB)
-	if hop, ok := nw.NextHopFrom(addrC, far); !ok || hop != addrB {
-		t.Fatalf("global: hop=%v ok=%v", hop, ok)
-	}
-	if _, ok := nw.NextHopFrom(addrC, pkt.IP(1, 2, 3, 4)); ok {
+	// An unattached destination needs a per-port route.
+	if _, ok := nw.NextHopFrom(addrC, far); ok {
 		t.Fatal("unroutable destination reported reachable")
 	}
 }

@@ -53,10 +53,13 @@ func (d *Datagram) Release() {
 }
 
 // DgramQueue is a bounded FIFO of received datagrams (the BSD socket
-// receive queue for UDP, bounded in messages).
+// receive queue for UDP, bounded in messages). It is a ring that keeps its
+// capacity, so a queue that drains to empty refills without allocating.
 type DgramQueue struct {
 	Limit int
-	q     []Datagram
+	ring  []Datagram
+	head  int
+	count int
 	drops uint64
 }
 
@@ -64,37 +67,60 @@ type DgramQueue struct {
 func NewDgramQueue(limit int) *DgramQueue { return &DgramQueue{Limit: limit} }
 
 // Len returns the number of queued datagrams.
-func (q *DgramQueue) Len() int { return len(q.q) }
+func (q *DgramQueue) Len() int { return q.count }
 
 // Full reports whether the queue is at its limit.
-func (q *DgramQueue) Full() bool { return q.Limit > 0 && len(q.q) >= q.Limit }
+func (q *DgramQueue) Full() bool { return q.Limit > 0 && q.count >= q.Limit }
 
 // Drops returns the count of datagrams refused because the queue was full.
 func (q *DgramQueue) Drops() uint64 { return q.drops }
 
-// Enqueue appends d; it reports false (and counts a drop) if full.
+// grow doubles the ring, unwrapping the live entries to the front.
 //
-//lrp:coldalloc amortized: the queue keeps its capacity until it drains past the trim threshold
+//lrp:coldalloc amortized geometric growth: at most log2(peak) allocations per queue lifetime
+func (q *DgramQueue) grow() {
+	n := len(q.ring) * 2
+	if n < 8 {
+		n = 8
+	}
+	ring := make([]Datagram, n)
+	for i := 0; i < q.count; i++ {
+		ring[i] = q.ring[(q.head+i)%len(q.ring)]
+	}
+	q.ring = ring
+	q.head = 0
+}
+
+// Enqueue appends d; it reports false (and counts a drop) if full.
 func (q *DgramQueue) Enqueue(d Datagram) bool {
 	if q.Full() {
 		q.drops++
 		return false
 	}
-	q.q = append(q.q, d)
+	if q.count == len(q.ring) {
+		q.grow()
+	}
+	i := q.head + q.count
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = d
+	q.count++
 	return true
 }
 
 // Dequeue removes and returns the head datagram.
 func (q *DgramQueue) Dequeue() (Datagram, bool) {
-	if len(q.q) == 0 {
+	if q.count == 0 {
 		return Datagram{}, false
 	}
-	d := q.q[0]
-	q.q[0] = Datagram{}
-	q.q = q.q[1:]
-	if len(q.q) == 0 && cap(q.q) > 1024 {
-		q.q = nil
+	d := q.ring[q.head]
+	q.ring[q.head] = Datagram{}
+	q.head++
+	if q.head == len(q.ring) {
+		q.head = 0
 	}
+	q.count--
 	return d, true
 }
 

@@ -47,39 +47,49 @@ func TestDgramQueueLimit(t *testing.T) {
 
 func TestDgramQueueModel(t *testing.T) {
 	// Property: queue behaviour matches a simple slice model under any
-	// operation sequence.
-	f := func(ops []bool) bool {
-		q := NewDgramQueue(4)
-		var model []byte
-		next := byte(0)
-		for _, enq := range ops {
-			if enq {
-				ok := q.Enqueue(Datagram{Data: []byte{next}})
-				if ok != (len(model) < 4) {
+	// operation sequence, bounded (the ring wraps) or unbounded (it also
+	// grows while wrapped).
+	for _, limit := range []int{4, 0} {
+		f := func(ops []bool) bool {
+			return dgramQueueMatchesModel(limit, ops)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+	}
+}
+
+// dgramQueueMatchesModel replays ops (true: enqueue, false: dequeue) on
+// a queue bounded at limit and on a slice model, and reports whether they
+// agree throughout.
+func dgramQueueMatchesModel(limit int, ops []bool) bool {
+	q := NewDgramQueue(limit)
+	var model []byte
+	next := byte(0)
+	for _, enq := range ops {
+		if enq {
+			ok := q.Enqueue(Datagram{Data: []byte{next}})
+			if ok != (limit == 0 || len(model) < limit) {
+				return false
+			}
+			if ok {
+				model = append(model, next)
+			}
+			next++
+		} else {
+			d, ok := q.Dequeue()
+			if ok != (len(model) > 0) {
+				return false
+			}
+			if ok {
+				if d.Data[0] != model[0] {
 					return false
 				}
-				if ok {
-					model = append(model, next)
-				}
-				next++
-			} else {
-				d, ok := q.Dequeue()
-				if ok != (len(model) > 0) {
-					return false
-				}
-				if ok {
-					if d.Data[0] != model[0] {
-						return false
-					}
-					model = model[1:]
-				}
+				model = model[1:]
 			}
 		}
-		return q.Len() == len(model)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	return q.Len() == len(model)
 }
 
 func TestStreamBufAppendRead(t *testing.T) {

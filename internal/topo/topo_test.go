@@ -167,6 +167,56 @@ func TestReversePathReachesEdges(t *testing.T) {
 	}
 }
 
+// TestGatewayForwardsEveryVerdict checks that a gateway forwards transit
+// traffic whatever its demultiplexer makes of it: an ICMP echo (which
+// would map to the gateway's own ICMP proxy) and the trailing fragments
+// of a datagram (which match no mapping, because the head matched no
+// local socket). Early-Demux answers no ICMP, so only its fragments are
+// checked.
+func TestGatewayForwardsEveryVerdict(t *testing.T) {
+	for _, arch := range []core.Arch{core.ArchSoftLRP, core.ArchNILRP, core.ArchEarlyDemux} {
+		t.Run(arch.String(), func(t *testing.T) {
+			spec, eng := testSpec(arch)
+			topo := Chain(spec, 1)
+			defer topo.Shutdown()
+			edge, gw, srv := topo.Edges[0], topo.Gateways[0], topo.Server
+			var got []int
+			srv.K.Spawn("sink", 0, func(p *kernel.Proc) {
+				s := srv.NewUDPSocket(p)
+				_ = srv.BindUDP(s, 7)
+				for {
+					d, err := srv.RecvFrom(p, s)
+					if err != nil {
+						return
+					}
+					got = append(got, len(d.Data))
+				}
+			})
+			edge.K.Spawn("client", 0, func(p *kernel.Proc) {
+				if arch != core.ArchEarlyDemux {
+					edge.Ping(p, srv.Addr, 1, 56)
+				}
+				s := edge.NewUDPSocket(p)
+				if err := edge.SendTo(p, s, srv.Addr, 7, make([]byte, 12000)); err != nil {
+					t.Error(err)
+				}
+			})
+			eng.RunFor(200 * sim.Millisecond)
+			if arch != core.ArchEarlyDemux {
+				if n := srv.EchoReplies(); n != 1 {
+					t.Errorf("server sent %d echo replies, want 1", n)
+				}
+				if n := gw.EchoReplies(); n != 0 {
+					t.Errorf("gateway sent %d echo replies, want 0", n)
+				}
+			}
+			if len(got) != 1 || got[0] != 12000 {
+				t.Errorf("server received datagrams of %v bytes, want one of 12000", got)
+			}
+		})
+	}
+}
+
 // sinkUDP runs a UDP sink on port 7 of the server and returns the
 // delivered-datagram count.
 func sinkUDP(t *Topology) *int {
