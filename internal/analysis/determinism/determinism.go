@@ -64,6 +64,7 @@ var simCore = map[string]bool{
 	"lrp/internal/nic":    true,
 	"lrp/internal/tcp":    true,
 	"lrp/internal/demux":  true,
+	"lrp/internal/fifo":   true,
 	"lrp/internal/mbuf":   true,
 	"lrp/internal/pkt":    true,
 	"lrp/internal/ipv4":   true,

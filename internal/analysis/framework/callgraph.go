@@ -228,7 +228,10 @@ func (g *CallGraph) addEdges(fi *FuncInfo) {
 	walk(fi.Decl.Body, false)
 }
 
-// resolveCall records the edge(s) for one call expression.
+// resolveCall records the edge(s) for one call expression. A call of a
+// generic function, or of a method of a generic type, names an
+// instantiated object (info.Uses, Selection.Obj); the edge goes to its
+// Origin, the declared function the graph indexes.
 func (g *CallGraph) resolveCall(fi *FuncInfo, call *ast.CallExpr, inPanic bool) {
 	info := fi.Pkg.TypesInfo
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
@@ -243,7 +246,7 @@ func (g *CallGraph) resolveCall(fi *FuncInfo, call *ast.CallExpr, inPanic bool) 
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			add(fn, false)
+			add(fn.Origin(), false)
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
@@ -257,12 +260,12 @@ func (g *CallGraph) resolveCall(fi *FuncInfo, call *ast.CallExpr, inPanic bool) 
 				}
 				return
 			}
-			add(m, false)
+			add(m.Origin(), false)
 			return
 		}
 		// Package-qualified function: pkg.F().
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			add(fn, false)
+			add(fn.Origin(), false)
 		}
 	}
 	// Anything else (call of a function value, index expression, ...) is a

@@ -19,10 +19,13 @@ func TestHotPathAllocations(t *testing.T) {
 // root -> mid -> leaf chain, a //lrp:coldalloc doc comment stops
 // traversal at any depth, a nested //lrp:hotpath function is its own
 // root (no chain), the append deletion idiom is recognized as
-// non-allocating, and panic-only allocations stay cold.
+// non-allocating, and panic-only allocations stay cold. The root also
+// calls a method of a generic type and a generic function in a fourth
+// package, whose allocations are reported through the instantiations.
 func TestTransitiveAllocations(t *testing.T) {
 	analysistest.RunProgram(t, hotalloc.Analyzer,
 		analysistest.Fixture{Dir: "testdata/hotdeep", Path: "lrp/internal/hotdeep"},
+		analysistest.Fixture{Dir: "testdata/hotgen", Path: "lrp/internal/hotgen"},
 		analysistest.Fixture{Dir: "testdata/hotmid", Path: "lrp/internal/hotmid"},
 		analysistest.Fixture{Dir: "testdata/hotroot", Path: "lrp/internal/hotroot"},
 	)

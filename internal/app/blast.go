@@ -54,7 +54,7 @@ func (b *BlastSource) Start() {
 	if b.Jitter == 0 {
 		b.Jitter = 0.3
 	}
-	b.pool = mbuf.NewPool(genPoolLimit)
+	b.pool = mbuf.NewPool(0)
 	b.emit = func() {
 		if b.stopped {
 			return

@@ -1,8 +1,9 @@
 package app
 
 // Packet-build plumbing shared by the traffic generators. Each generator
-// owns a private mbuf pool and builds its packets in recycled storage, so
-// a long blast run stops allocating once the pool warms up.
+// owns a private, unbounded mbuf pool and builds its packets in recycled
+// storage, so a long blast run stops allocating once the pool's free
+// lists reach the in-flight high-water mark.
 
 import (
 	"lrp/internal/mbuf"
@@ -10,32 +11,11 @@ import (
 	"lrp/internal/pkt"
 )
 
-// genPoolLimit bounds each generator's private buffer pool. It only needs
-// to cover packets in flight on the simulated wire; the builders fall
-// back to fresh buffers if it ever runs dry, so sizing affects recycling
-// efficiency, not correctness.
-const genPoolLimit = 4096
-
-// zeroPayload backs the all-zero payloads the generators send. It must
-// stay all-zero: the append builders copy from it, never into it.
-var zeroPayload = make([]byte, 64*1024)
-
-// zeros returns an all-zero payload of length n.
-func zeros(n int) []byte {
-	if n <= len(zeroPayload) {
-		return zeroPayload[:n]
-	}
-	return make([]byte, n)
-}
-
 // injectUDP builds an IPv4/UDP packet in recycled pool storage and places
 // it on the wire; the storage returns to the pool once the network has
 // finished delivering the packet.
 func injectUDP(nw *netsim.Network, pool *mbuf.Pool, src, dst pkt.Addr, sport, dport, id uint16, size int) {
-	if m := pool.AllocBuf(pkt.UDPTotalLen(size)); m != nil {
-		m.Data = pkt.AppendUDP(m.Data, src, dst, sport, dport, id, 64, zeros(size), true)
-		nw.InjectMbuf(m)
-		return
-	}
-	nw.Inject(pkt.UDPPacket(src, dst, sport, dport, id, 64, make([]byte, size), true))
+	m := pool.AllocBuf(pkt.UDPTotalLen(size))
+	m.Data = pkt.AppendUDP(m.Data, src, dst, sport, dport, id, 64, pkt.Zeros(size), true)
+	nw.InjectMbuf(m)
 }

@@ -46,7 +46,7 @@ func (m *MediaSource) Start() {
 	if m.Interval == 0 {
 		m.Interval = 33_333
 	}
-	m.pool = mbuf.NewPool(genPoolLimit)
+	m.pool = mbuf.NewPool(0)
 	m.emit = func() {
 		if m.stopped {
 			return

@@ -48,7 +48,7 @@ func (f *SYNFlood) Start() {
 	if f.sport == 0 {
 		f.sport = 1024
 	}
-	f.pool = mbuf.NewPool(genPoolLimit)
+	f.pool = mbuf.NewPool(0)
 	f.emit = func() {
 		if f.stopped {
 			return
@@ -68,12 +68,9 @@ func (f *SYNFlood) Start() {
 			MSS:     1460,
 		}
 		f.Sent.Inc()
-		if m := f.pool.AllocBuf(pkt.TCPTotalLen(&h, 0)); m != nil {
-			m.Data = pkt.AppendTCP(m.Data, f.Src, f.Dst, &h, f.ipid, 64, nil)
-			f.Net.InjectMbuf(m)
-		} else {
-			f.Net.Inject(pkt.TCPSegment(f.Src, f.Dst, &h, f.ipid, 64, nil))
-		}
+		m := f.pool.AllocBuf(pkt.TCPTotalLen(&h, 0))
+		m.Data = pkt.AppendTCP(m.Data, f.Src, f.Dst, &h, f.ipid, 64, nil)
+		f.Net.InjectMbuf(m)
 		f.schedule()
 	}
 	f.schedule()

@@ -36,13 +36,12 @@ func (h *Host) appMainStep() kernel.StepFn {
 		for {
 			switch pc {
 			case appHead:
-				if len(h.appQ) == 0 {
+				var ok bool
+				if w, ok = h.appQ.Dequeue(); !ok {
 					p.PrioProxy = nil
 					p.ReqSleep(&h.appWq)
 					return
 				}
-				w = h.appQ[0]
-				h.appQ = h.appQ[1:]
 				switch {
 				case w.conn != nil:
 					owner := appOwner(connSocket(w.conn))

@@ -12,13 +12,12 @@ import (
 
 // TestForwardAllocs pins IP forwarding at zero allocations per packet: the
 // gateway rebuilds each packet in its transmit scratch buffer, and its
-// transmit and the wire hops allocate nothing either. (Early-Demux is left
-// out: it still posts a closure per transit packet.)
+// transmit and the wire hops allocate nothing either.
 func TestForwardAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	for _, arch := range []Arch{ArchBSD, ArchSoftLRP, ArchNILRP} {
+	for _, arch := range []Arch{ArchBSD, ArchSoftLRP, ArchNILRP, ArchEarlyDemux} {
 		t.Run(arch.String(), func(t *testing.T) {
 			eng := sim.NewEngine()
 			nw := netsim.New(eng)

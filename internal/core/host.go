@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"lrp/internal/demux"
+	"lrp/internal/fifo"
 	"lrp/internal/ipv4"
 	"lrp/internal/kernel"
 	"lrp/internal/mbuf"
@@ -90,11 +91,12 @@ type Host struct {
 	filterProgs map[*socket.Socket]int // socket -> entry handle
 
 	// Raw-ring receive state, built once in wireRx so posting work per
-	// interrupt or per packet allocates no closure (nil under NI-LRP).
-	ipqs          []*mbuf.Queue // per-CPU IP queues (BSD, Polling)
-	bsdSoftintFns []func()      // per-CPU softint bodies (BSD, Polling)
-	qStep         []func()      // per-queue driver-step closures
-	qIntr         []func()      // per-queue interrupt entries
+	// interrupt allocates no closure (nil under NI-LRP).
+	qStep []func() // per-queue driver-step closures
+	qIntr []func() // per-queue interrupt entries
+
+	// work holds each CPU's deferred-work records, in CPU order.
+	work []cpuWork
 
 	// steerChannels routes each NI channel's wakeup interrupt to the
 	// owning process's CPU (NI-LRP with RxQueues > 1).
@@ -128,16 +130,25 @@ type Host struct {
 	fwdSock    *socket.Socket
 	fwdStats   ForwardStats
 
-	// polled marks ArchPolling's overload mode (interrupts off).
-	polled bool
+	// polled marks ArchPolling's overload mode (interrupts off). Each
+	// poll pass queues its batch size on pollQ for pollFn, bound once
+	// like pollPassFn.
+	polled     bool
+	pollQ      fifo.Queue[int]
+	pollFn     func()
+	pollPassFn func()
 
 	// Trace, when non-nil, records packet-path events (demux verdicts,
 	// drops, deliveries). Enable with EnableTrace.
 	Trace *trace.Log
 
-	hooks           tcp.Hooks
-	timers          map[*tcp.Conn]*connTimers
-	appQ            []appWork
+	hooks  tcp.Hooks
+	timers map[*tcp.Conn]*connTimers
+	// appQ holds protocol work records: the LRP APP thread drains it, and
+	// on the eager kernels timerFn pops one timer expiry per software
+	// interrupt.
+	appQ            fifo.Queue[appWork]
+	timerFn         func()
 	appWq           kernel.WaitQ
 	appProc         *kernel.Proc
 	idleProc        *kernel.Proc
@@ -158,13 +169,39 @@ type connTimers struct {
 	expire [tcp.NumTimers]func()
 }
 
-// appWork is one unit of work for the asynchronous protocol processing
-// thread: either "drain this socket's channel" or "this timer expired".
+// appWork is one unit of protocol work: either "drain this socket's
+// channel" (LRP) or "this timer expired".
 type appWork struct {
 	sock  *socket.Socket // non-nil: drain its NI channel
 	conn  *tcp.Conn      // non-nil with timer set: expiry
 	timer tcp.Timer
 	gen   uint64
+}
+
+// cpuWork is one CPU's deferred receive work. Each FIFO holds records
+// that one handler, bound once at construction, pops when its work item
+// runs. Every post of a handler's work item pushes exactly one record,
+// and a CPU runs each interrupt queue in post order, so every handler
+// pops its own record.
+type cpuWork struct {
+	k *kernel.Kernel
+	// softnet is the software-interrupt queue of eager protocol input:
+	// the IP queue of BSD and Polling (bounded by IPQueueLimit; its drops
+	// are IPQDrops) or Early-Demux's unbounded one. softnetFn runs the
+	// head record through IP input.
+	softnet   fifo.Queue[rxRec]
+	softnetFn func()
+	// signals holds the sockets whose NI-LRP channel signal this CPU
+	// takes as a hardware interrupt; signalFn delivers the head one.
+	signals  fifo.Queue[*socket.Socket]
+	signalFn func()
+}
+
+// rxRec is one packet awaiting eager protocol input, with the socket
+// early demultiplexing found for it (nil: a PCB lookup finds it).
+type rxRec struct {
+	m    *mbuf.Mbuf
+	hint *socket.Socket
 }
 
 // NewHost builds a host of the given architecture and attaches it to nw.
@@ -206,6 +243,28 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 			MigrateCost: cm.MigrateCost,
 		})
 	}
+	h.work = make([]cpuWork, ncpu)
+	for i := range h.work {
+		cw := &h.work[i]
+		cw.k = h.CPUs[i]
+		if cfg.Arch != ArchEarlyDemux {
+			cw.softnet.Limit = cm.IPQueueLimit
+		}
+		// Eager protocol input for the head record: its cost was charged
+		// by the posted work item, to whatever process happened to be
+		// running — BSD's accounting.
+		cw.softnetFn = func() {
+			r, _ := cw.softnet.Dequeue()
+			h.protoInput(r.m, r.hint)
+		}
+		cw.signalFn = func() {
+			s, _ := cw.signals.Dequeue()
+			h.signal(s)
+		}
+	}
+	h.pollFn = h.pollBatch
+	h.pollPassFn = h.pollPass
+	h.timerFn = h.timerSoftint
 
 	// Rx queue count: raw-ring architectures can spread RSS-hashed flows
 	// over several rings; NI-LRP's smart NIC has no raw rings (a count
@@ -243,7 +302,7 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		// Demultiplexing runs on the NIC processor: the packet has
 		// already paid the NIC's per-packet cost, and classification
 		// costs the host nothing.
-		h.NIC.OnNICProcess = func(m *mbuf.Mbuf) { h.demuxDeliverOn(h.K, m) }
+		h.NIC.OnNICProcess = func(m *mbuf.Mbuf) { h.demuxDeliverOn(0, m) }
 	} else {
 		h.wireRx()
 	}
@@ -269,28 +328,12 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 
 // wireRx installs the raw-ring receive path: one pre-built interrupt
 // entry and driver step per NIC receive queue, queue q posting its work
-// to CPU q mod CPUs. BSD and Polling also get one IP queue and softint
-// body per CPU (a per-CPU softnet queue), so protocol processing stays
-// on the CPU that took the interrupt. OnHostIntr enters queue 0's
-// handler, so an interrupt raised with no ring behind it (an injected
-// spurious one) costs what a ring interrupt on queue 0 costs.
+// to CPU q mod CPUs. Eager protocol input goes on that CPU's softnet
+// queue, so protocol processing stays on the CPU that took the
+// interrupt. OnHostIntr enters queue 0's handler, so an interrupt raised
+// with no ring behind it (an injected spurious one) costs what a ring
+// interrupt on queue 0 costs.
 func (h *Host) wireRx() {
-	if h.Arch == ArchBSD || h.Arch == ArchPolling {
-		h.ipqs = make([]*mbuf.Queue, len(h.CPUs))
-		h.bsdSoftintFns = make([]func(), len(h.CPUs))
-		for i := range h.ipqs {
-			ipq := mbuf.NewQueue(h.CM.IPQueueLimit)
-			h.ipqs[i] = ipq
-			// Eager protocol processing for the head of the IP queue: its
-			// cost was charged by the posted work item, to whatever
-			// process happened to be running — BSD's accounting.
-			h.bsdSoftintFns[i] = func() {
-				if m := ipq.Dequeue(); m != nil {
-					h.protoInput(m, nil)
-				}
-			}
-		}
-	}
 	nq := h.NIC.NumRxQueues()
 	h.qStep = make([]func(), nq)
 	h.qIntr = make([]func(), nq)
@@ -299,12 +342,12 @@ func (h *Host) wireRx() {
 		k := h.CPUs[ci]
 		switch h.Arch {
 		case ArchBSD, ArchPolling:
-			h.qStep[q] = func() { h.bsdDriverStep(q, ci, k) }
+			h.qStep[q] = func() { h.bsdDriverStep(q, ci) }
 			h.qIntr[q] = func() {
 				k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt, Fn: h.qStep[q]})
 			}
 		default: // SOFT-LRP, Early-Demux
-			h.qStep[q] = func() { h.demuxDriverStep(q, k) }
+			h.qStep[q] = func() { h.demuxDriverStep(q, ci) }
 			h.qIntr[q] = func() {
 				k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed + h.CM.DriverPerPkt + h.headDemuxCost(q), Fn: h.qStep[q]})
 			}
@@ -336,8 +379,8 @@ func (h *Host) EnableTrace(capacity int) *trace.Log {
 // the queue counters of the live IP queues and NI channels.
 func (h *Host) Stats() Stats {
 	s := h.stats
-	for _, q := range h.ipqs {
-		s.IPQDrops += q.Drops()
+	for i := range h.work {
+		s.IPQDrops += h.work[i].softnet.Drops()
 	}
 	for _, so := range h.sockets {
 		// An NI-LRP socket in TIME_WAIT points at the shared twChan,

@@ -31,7 +31,7 @@ func (h *Host) enterPolledMode() {
 	h.stats.PollTransitions++
 	h.NIC.SetIntrEnabled(false)
 	h.NIC.IntrDoneQ(0)
-	h.Eng.After(h.CM.PollInterval, h.pollPass)
+	h.Eng.After(h.CM.PollInterval, h.pollPassFn)
 }
 
 // pollPass runs once per PollInterval in polled mode: admit a bounded
@@ -41,40 +41,35 @@ func (h *Host) pollPass() {
 	if !h.polled {
 		return
 	}
-	ipq := h.ipqs[0]
 	n := h.NIC.RxPendingQ(0)
-	if n == 0 && ipq.Len() == 0 {
+	if n == 0 && h.work[0].softnet.Len() == 0 {
 		h.polled = false
 		h.NIC.SetIntrEnabled(true)
 		return
 	}
-	if n == 0 {
-		// Ring drained but protocol work still queued: stay polled.
-		h.Eng.After(h.CM.PollInterval, h.pollPass)
-		return
+	if n > 0 {
+		n = min(n, h.CM.PollBatch)
+		// The poll's driver work: one fixed dispatch plus per-packet
+		// cost, charged like any interrupt-level work (to whoever runs —
+		// polling does not fix BSD's accounting). pollBatch admits the
+		// batch when it completes.
+		h.pollQ.Enqueue(n)
+		h.K.PostSW(kernel.WorkItem{Cost: h.CM.SWDispatchFixed + int64(n)*h.CM.DriverPerPkt, Fn: h.pollFn})
 	}
-	if n > h.CM.PollBatch {
-		n = h.CM.PollBatch
+	// A drained ring with protocol work still queued stays polled too.
+	h.Eng.After(h.CM.PollInterval, h.pollPassFn)
+}
+
+// pollBatch admits the head poll record's batch from the ring onto CPU 0's
+// IP queue, one software interrupt per admitted packet.
+func (h *Host) pollBatch() {
+	n, _ := h.pollQ.Dequeue()
+	cw := &h.work[0]
+	for i := 0; i < n; i++ {
+		m := h.NIC.RxDequeueQ(0)
+		if m == nil {
+			break
+		}
+		cw.post(m, nil, h.protoInCost(m.Data, true)+h.CM.EagerProtoPenalty)
 	}
-	// The poll's driver work: one fixed dispatch plus per-packet cost,
-	// charged like any interrupt-level work (to whoever runs — polling
-	// does not fix BSD's accounting).
-	h.K.PostSW(kernel.WorkItem{
-		Cost: h.CM.SWDispatchFixed + int64(n)*h.CM.DriverPerPkt,
-		Fn: func() {
-			for i := 0; i < n; i++ {
-				m := h.NIC.RxDequeueQ(0)
-				if m == nil {
-					break
-				}
-				if ipq.Enqueue(m) {
-					h.K.PostSW(kernel.WorkItem{
-						Cost: h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty,
-						Fn:   h.bsdSoftintFns[0],
-					})
-				}
-			}
-		},
-	})
-	h.Eng.After(h.CM.PollInterval, h.pollPass)
 }

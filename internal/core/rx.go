@@ -6,6 +6,8 @@ package core
 // and the accounting.
 
 import (
+	"slices"
+
 	"lrp/internal/demux"
 	"lrp/internal/kernel"
 	"lrp/internal/mbuf"
@@ -20,8 +22,9 @@ import (
 // Raw-ring drivers (4.4BSD, Polling, SOFT-LRP, Early-Demux) run once per
 // NIC receive queue: queue q's interrupt and driver steps run on CPU
 // q % CPUs, and a uniprocessor single-queue host is the one-queue,
-// one-CPU case. The closures in Host.qStep bind q, ci and k once in
-// wireRx, so the per-interrupt path allocates nothing.
+// one-CPU case. The closures in Host.qStep bind q and ci once in wireRx,
+// and eager protocol input rides a record on the CPU's softnet queue, so
+// the receive path allocates nothing per interrupt or per packet.
 
 // ---------------------------------------------------------------------------
 // 4.4BSD: interrupt handler -> IP queue -> software interrupt -> socket
@@ -29,25 +32,19 @@ import (
 // lowest to the application.
 
 // bsdDriverStep handles one packet from queue q in the interrupt handler
-// on CPU ci (kernel k), then chains to the next ring entry (batching: the
-// fixed dispatch cost is paid once per interrupt, the per-packet cost
-// per packet). The packet goes onto CPU ci's IP queue and software
+// on CPU ci, then chains to the next ring entry (batching: the fixed
+// dispatch cost is paid once per interrupt, the per-packet cost per
+// packet). The packet goes onto CPU ci's IP queue and software
 // interrupt. Polling runs the same driver plus its overload check.
-func (h *Host) bsdDriverStep(q, ci int, k *kernel.Kernel) {
-	ipq := h.ipqs[ci]
+func (h *Host) bsdDriverStep(q, ci int) {
+	cw := &h.work[ci]
+	k := cw.k
 	if m := h.NIC.RxDequeueQ(q); m != nil {
 		// Queue on the IP queue; drop if full — after the driver has
 		// already invested work in the packet.
-		swEmpty := k.SWPending() == 0
-		if ipq.Enqueue(m) {
-			cost := h.protoInCost(m.Data, true) + h.CM.EagerProtoPenalty
-			if swEmpty {
-				cost += h.CM.SWDispatchFixed
-			}
-			k.PostSW(kernel.WorkItem{Cost: cost, Fn: h.bsdSoftintFns[ci]})
-		}
+		cw.post(m, nil, h.eagerCost(k, m.Data, true))
 	}
-	if h.Arch == ArchPolling && ipq.Len() >= h.CM.PollEnterThresh {
+	if h.Arch == ArchPolling && cw.softnet.Len() >= h.CM.PollEnterThresh {
 		// Overload: protocol processing is falling behind (the IP queue
 		// is backing up). Switch to polled mode; interrupts stay off
 		// until a poll finds the ring drained.
@@ -65,11 +62,12 @@ func (h *Host) bsdDriverStep(q, ci int, k *kernel.Kernel) {
 // SOFT-LRP and Early-Demux: demultiplexing in the host interrupt handler.
 
 // demuxDriverStep demultiplexes one packet from queue q in interrupt
-// context on the queue's CPU k, then chains to the next ring entry.
-func (h *Host) demuxDriverStep(q int, k *kernel.Kernel) {
+// context on the queue's CPU ci, then chains to the next ring entry.
+func (h *Host) demuxDriverStep(q, ci int) {
 	if m := h.NIC.RxDequeueQ(q); m != nil {
-		h.demuxDeliverOn(k, m)
+		h.demuxDeliverOn(ci, m)
 	}
+	k := h.CPUs[ci]
 	if h.NIC.RxPendingQ(q) > 0 {
 		k.PostHW(kernel.WorkItem{Cost: h.CM.DriverPerPkt + h.headDemuxCost(q), Fn: h.qStep[q]})
 	} else {
@@ -93,19 +91,30 @@ func (h *Host) headDemuxCost(q int) int64 {
 
 // demuxDeliverOn classifies a packet and places it on the right NI
 // channel (or socket queue for Early-Demux). It runs in the host
-// interrupt context of CPU k (SOFT-LRP, Early-Demux) or on the NIC
-// processor (NI-LRP, with k the boot CPU). Eager follow-up work
-// (Early-Demux softints, foreign-traffic forwarding) stays on the CPU k
-// whose queue carried the packet.
+// interrupt context of CPU ci (SOFT-LRP, Early-Demux) or on the NIC
+// processor (NI-LRP, with ci the boot CPU). Eager follow-up work
+// (Early-Demux softints, its forwarding) stays on the CPU ci whose queue
+// carried the packet.
 //
 //lrp:hotpath
-func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
+func (h *Host) demuxDeliverOn(ci int, m *mbuf.Mbuf) {
 	sock, v := h.pcbs.Classify(m.Data, h.Eng.Now())
 	if v != demux.Malformed && h.forwarding && h.isForeign(m.Data) {
 		// Transit traffic, whatever the verdict: the address check wins
 		// over a local port number that coincides with a foreign packet's,
-		// over the ICMP proxy, and over the fragment channel.
-		h.deliverForeignOn(k, m)
+		// over the ICMP proxy, and over the fragment channel. LRP hands it
+		// to the forwarding daemon's channel (early discard when the
+		// daemon cannot keep up); Early-Demux forwards it eagerly, priced
+		// as BSD prices it.
+		if h.Arch == ArchEarlyDemux {
+			h.earlyDemuxDeliver(ci, nil, m)
+			return
+		}
+		ch := h.fwdSock.NIChan
+		wasEmpty, ok := ch.Deliver(m)
+		if ok && wasEmpty && ch.IntrRequested {
+			h.channelSignal(h.fwdSock, ch)
+		}
 		return
 	}
 	if h.Trace != nil {
@@ -131,7 +140,7 @@ func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
 			// Early-Demux has no fragment channel: eager input reassembles
 			// the fragment and pays the PCB lookup that a mapping would
 			// have let it skip.
-			h.earlyDemuxDeliver(k, nil, m)
+			h.earlyDemuxDeliver(ci, nil, m)
 			return
 		}
 		// Fragment with no mapping yet: the special fragment channel,
@@ -141,7 +150,7 @@ func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
 	}
 
 	if h.Arch == ArchEarlyDemux {
-		h.earlyDemuxDeliver(k, sock, m)
+		h.earlyDemuxDeliver(ci, sock, m)
 		return
 	}
 
@@ -165,9 +174,9 @@ func (h *Host) demuxDeliverOn(k *kernel.Kernel, m *mbuf.Mbuf) {
 }
 
 // channelSignal reacts to a channel's empty->nonempty transition when the
-// receiver asked for interrupts: wake the receiver (UDP) or schedule
-// asynchronous protocol processing (TCP). Under NI-LRP this requires an
-// actual (minimal) host interrupt; under soft demux we are already in one.
+// receiver asked for interrupts (signal). Under soft demux we are already
+// in an interrupt; under NI-LRP the NIC raises an actual (minimal) host
+// interrupt, whose work item delivers the signal.
 //
 // On an NI-LRP host built with RxQueues > 1 the channel's interrupt line
 // is routed to the owning process's CPU — the NI-channel analogue of RSS
@@ -178,50 +187,54 @@ func (h *Host) channelSignal(sock *socket.Socket, ch *nic.Channel) {
 	// the woken receiver (UDP) re-requests interrupts when it next needs
 	// them.
 	ch.IntrRequested = false
-	act := sock.SignalAct
-	if act == nil {
-		// Built once per socket: the signal path runs per empty->nonempty
-		// transition and must not allocate a closure each time.
-		act = func() {
-			switch {
-			case sock.Type == socket.Stream:
-				h.queueChannelWork(sock)
-			default:
-				if g := h.groupOf(sock); g != nil {
-					// Shared (multicast) channel: wake the highest-priority
-					// member with a sleeping receiver.
-					h.mcastSignal(g)
-					return
-				}
-				// "the process with the highest priority performs the
-				// protocol processing"
-				sock.RcvWait.WakeupBest()
-			}
-		}
-		sock.SignalAct = act
+	if h.Arch != ArchNILRP {
+		h.signal(sock)
+		return
 	}
-	if h.Arch == ArchNILRP {
-		// The NIC raises a minimal host interrupt. Its cost is charged to
-		// the socket's owner: the receiver caused this work, and LRP
-		// accounts network processing to the process that receives the
-		// traffic.
-		h.NIC.RaiseIntr()
-		k := h.K
-		if h.steerChannels && sock.Owner != nil {
-			k = sock.Owner.K
+	// The interrupt's cost is charged to the socket's owner: the receiver
+	// caused this work, and LRP accounts network processing to the
+	// process that receives the traffic.
+	h.NIC.RaiseIntr()
+	cw := &h.work[0]
+	if h.steerChannels && sock.Owner != nil {
+		cw = h.workOn(sock.Owner.K)
+	}
+	cw.signals.Enqueue(sock)
+	cw.k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed, ChargeTo: sock.Owner, Fn: cw.signalFn})
+}
+
+// workOn returns the deferred-work records of the host CPU running
+// kernel k.
+func (h *Host) workOn(k *kernel.Kernel) *cpuWork {
+	return &h.work[slices.Index(h.CPUs, k)]
+}
+
+// signal wakes a channel's receiver (UDP) or schedules asynchronous
+// protocol processing (TCP).
+func (h *Host) signal(sock *socket.Socket) {
+	switch {
+	case sock.Type == socket.Stream:
+		h.queueChannelWork(sock)
+	default:
+		if g := h.groupOf(sock); g != nil {
+			// Shared (multicast) channel: wake the highest-priority
+			// member with a sleeping receiver.
+			h.mcastSignal(g)
+			return
 		}
-		k.PostHW(kernel.WorkItem{Cost: h.CM.HWIntrFixed, ChargeTo: sock.Owner, Fn: act})
-	} else {
-		act()
+		// "the process with the highest priority performs the protocol
+		// processing"
+		sock.RcvWait.WakeupBest()
 	}
 }
 
 // earlyDemuxDeliver implements the paper's Early-Demux ablation: drop
 // immediately if the destination socket cannot accept more data, otherwise
 // schedule conventional (eager, softint, BSD-accounted) processing on the
-// CPU k whose interrupt carried the packet. A nil sock (a fragment the
-// demultiplexer could not map) skips the discard checks.
-func (h *Host) earlyDemuxDeliver(k *kernel.Kernel, sock *socket.Socket, m *mbuf.Mbuf) {
+// CPU ci whose interrupt carried the packet. A nil sock (a fragment the
+// demultiplexer could not map, or transit traffic) skips the discard
+// checks and pays the PCB lookup.
+func (h *Host) earlyDemuxDeliver(ci int, sock *socket.Socket, m *mbuf.Mbuf) {
 	if sock != nil && sock.Type == socket.Dgram && sock.RecvDgrams != nil && sock.RecvDgrams.Full() {
 		h.stats.EarlyDrops++
 		m.Free()
@@ -234,37 +247,33 @@ func (h *Host) earlyDemuxDeliver(k *kernel.Kernel, sock *socket.Socket, m *mbuf.
 			return
 		}
 	}
-	swEmpty := k.SWPending() == 0
 	// PCB lookup is bypassed when the demultiplexer identified the socket
 	// ("Due to the early demultiplexing, UDP's PCB lookup was bypassed, as
 	// in the LRP kernels").
-	cost := h.protoInCost(m.Data, sock == nil) + h.CM.EagerProtoPenalty
-	if swEmpty {
-		cost += h.CM.SWDispatchFixed
-	}
-	k.PostSW(kernel.WorkItem{Cost: cost, Fn: func() { h.protoInput(m, sock) }})
+	cw := &h.work[ci]
+	cw.post(m, sock, h.eagerCost(cw.k, m.Data, sock == nil))
 }
 
-// deliverForeign hands transit traffic to the forwarding machinery: the
-// LRP forwarding daemon's channel (early discard when the daemon cannot
-// keep up), or an eager software interrupt under Early-Demux, on the
-// CPU k whose interrupt carried the packet.
-func (h *Host) deliverForeignOn(k *kernel.Kernel, m *mbuf.Mbuf) {
-	if h.Arch.IsLRP() {
-		ch := h.fwdSock.NIChan
-		wasEmpty, ok := ch.Deliver(m)
-		if ok && wasEmpty && ch.IntrRequested {
-			h.channelSignal(h.fwdSock, ch)
-		}
-		return
-	}
-	// Early-Demux: conventional eager forwarding.
-	swEmpty := k.SWPending() == 0
-	cost := h.CM.IPInCost + h.CM.IPOutCost
-	if swEmpty {
+// eagerCost prices eager protocol input of packet b in software-interrupt
+// context on kernel k: the protocol cost and the eager penalty, plus the
+// softint dispatch when k has no software interrupt pending.
+func (h *Host) eagerCost(k *kernel.Kernel, b []byte, pcbLookup bool) int64 {
+	cost := h.protoInCost(b, pcbLookup) + h.CM.EagerProtoPenalty
+	if k.SWPending() == 0 {
 		cost += h.CM.SWDispatchFixed
 	}
-	k.PostSW(kernel.WorkItem{Cost: cost, Fn: func() { h.protoInput(m, nil) }})
+	return cost
+}
+
+// post queues m, with the socket early demultiplexing found for it, on
+// the CPU's softnet queue and posts the software interrupt that runs its
+// IP input, priced at cost. A full IP queue drops the packet.
+func (cw *cpuWork) post(m *mbuf.Mbuf, hint *socket.Socket, cost int64) {
+	if !cw.softnet.Enqueue(rxRec{m: m, hint: hint}) {
+		m.Free()
+		return
+	}
+	cw.k.PostSW(kernel.WorkItem{Cost: cost, Fn: cw.softnetFn})
 }
 
 // isSYN reports whether a raw packet is a TCP SYN (no ACK).

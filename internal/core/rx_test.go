@@ -13,6 +13,7 @@ import (
 	"lrp/internal/kernel"
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
+	"lrp/internal/race"
 	"lrp/internal/sim"
 	"lrp/internal/socket"
 )
@@ -61,13 +62,13 @@ func TestSpuriousInterruptCharged(t *testing.T) {
 }
 
 // TestRawRxAllocs pins the receive path at zero allocations per received
-// packet: the interrupt entries, driver steps and softint bodies are bound
-// once at construction. The queues=N cases send to an unbound port, so the
-// packet ends at the demux or PCB-lookup drop. The delivered case binds a
-// socket whose step reader releases each datagram, so the socket queue
+// packet: the interrupt entries, driver steps and softint handlers are
+// bound once at construction, and deferred work rides records on FIFOs.
+// The queues=N cases send to an unbound port, so the packet ends at the
+// demux or PCB-lookup drop. The delivered case binds a socket whose step
+// reader releases each datagram, so the socket queue, the channel signal
 // and the input machine's mbuf hand-off are measured too: a missing
 // EndTransfer shows up as an allocation, a double one as a panic.
-// Early-Demux is left out of it: it still posts a closure per packet.
 func TestRawRxAllocs(t *testing.T) {
 	for _, arch := range everyArch {
 		t.Run(arch.String(), func(t *testing.T) {
@@ -78,11 +79,9 @@ func TestRawRxAllocs(t *testing.T) {
 					})
 				}
 			}
-			if arch != ArchEarlyDemux {
-				t.Run("delivered", func(t *testing.T) {
-					rxAllocs(t, arch, 1, true)
-				})
-			}
+			t.Run("delivered", func(t *testing.T) {
+				rxAllocs(t, arch, 1, true)
+			})
 		})
 	}
 }
@@ -133,6 +132,40 @@ func rxAllocs(t *testing.T, arch Arch, queues int, deliver bool) {
 	}
 	if got != want {
 		t.Errorf("reader got %d datagrams, want %d", got, want)
+	}
+}
+
+// TestPolledModeAllocs holds a Polling host in polled mode — 40 datagrams
+// to an unbound port per PollInterval, ten times what a poll admits — and
+// pins each interval at zero allocations: the poll pass is bound once and
+// its batch rides a record to a bound handler.
+func TestPolledModeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	eng := sim.NewEngine()
+	nw := netsim.New(eng)
+	h := NewHost(eng, nw, Config{Name: "server", Addr: addrB, Arch: ArchPolling})
+	defer h.Shutdown()
+	b := pkt.UDPPacket(addrA, addrB, 9, 7, 1, 64, []byte("x"), true)
+	interval := func() {
+		for i := 0; i < 40; i++ {
+			nw.Inject(b)
+		}
+		eng.RunFor(h.CM.PollInterval)
+	}
+	for i := 0; i < 10; i++ {
+		interval() // enter polled mode; warm the pools and free lists
+	}
+	if !h.polled {
+		t.Fatal("the host did not enter polled mode")
+	}
+	entered := h.Stats().PollTransitions
+	if n := testing.AllocsPerRun(100, interval); n != 0 {
+		t.Errorf("%.2f allocs per poll interval, want 0", n)
+	}
+	if !h.polled || h.Stats().PollTransitions != entered {
+		t.Fatal("the host left polled mode during the measurement")
 	}
 }
 

@@ -69,19 +69,25 @@ func (h *Host) disarmConnTimer(c *tcp.Conn, t tcp.Timer) {
 	ct.ev[t] = sim.Event{}
 }
 
-// dispatchTimer routes a fired timer into protocol-processing context.
+// dispatchTimer routes a fired timer into protocol-processing context:
+// the APP thread under LRP, a software interrupt on the boot CPU under
+// BSD, Early-Demux and Polling.
 func (h *Host) dispatchTimer(c *tcp.Conn, t tcp.Timer, gen uint64) {
+	h.appQ.Enqueue(appWork{conn: c, timer: t, gen: gen})
 	if h.Arch.IsLRP() {
-		h.appQ = append(h.appQ, appWork{conn: c, timer: t, gen: gen})
 		h.appWq.WakeupAll()
 		return
 	}
-	// BSD / Early-Demux: timer processing in software interrupt context.
-	h.K.PostSW(kernel.WorkItem{Cost: h.CM.TCPTimerCost, Fn: func() {
-		if h.timerValid(c, t, gen) {
-			c.TimerExpire(t)
-		}
-	}})
+	h.K.PostSW(kernel.WorkItem{Cost: h.CM.TCPTimerCost, Fn: h.timerFn})
+}
+
+// timerSoftint runs the head timer expiry of appQ in software-interrupt
+// context, unless a later arm or disarm has invalidated it.
+func (h *Host) timerSoftint() {
+	w, _ := h.appQ.Dequeue()
+	if h.timerValid(w.conn, w.timer, w.gen) {
+		w.conn.TimerExpire(w.timer)
+	}
 }
 
 func (h *Host) timerValid(c *tcp.Conn, t tcp.Timer, gen uint64) bool {
@@ -198,10 +204,8 @@ func (h *Host) syncListenChannel(s *socket.Socket) {
 // APP: the asynchronous protocol processing thread (LRP).
 
 // queueChannelWork asks the APP thread to drain a TCP socket's channel.
-//
-//lrp:coldalloc amortized: appQ is drained in place and keeps its capacity across APP rounds
 func (h *Host) queueChannelWork(s *socket.Socket) {
-	h.appQ = append(h.appQ, appWork{sock: s})
+	h.appQ.Enqueue(appWork{sock: s})
 	h.appWq.WakeupAll()
 }
 

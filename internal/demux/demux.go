@@ -18,6 +18,7 @@
 package demux
 
 import (
+	"lrp/internal/fifo"
 	"lrp/internal/pkt"
 )
 
@@ -96,9 +97,8 @@ type Table[E any] struct {
 	frags  map[fragKey]fragEntry[E]
 
 	// fragOrder lists frag keys in insertion order so the purge scan is
-	// deterministic (sim-core code must not range over maps). A key
-	// deleted via DropFrag leaves a tombstone here; purge compacts it.
-	fragOrder []fragKey
+	// deterministic (sim-core code must not range over maps).
+	fragOrder fifo.Queue[fragKey]
 
 	// One-entry classification cache: server workloads hammer a handful of
 	// flows, so the previous packet's 5-tuple usually repeats and the two
@@ -242,7 +242,7 @@ func (t *Table[E]) classifyFragment(b []byte, ih *pkt.IPv4Header, hlen int, now 
 		e, verdict := t.classifyTransport(b[hlen:], ih)
 		if verdict == Match || verdict == OtherProto {
 			if _, exists := t.frags[key]; !exists {
-				t.fragOrder = append(t.fragOrder, key)
+				t.fragOrder.Enqueue(key)
 			}
 			t.frags[key] = fragEntry[E]{ep: e, expires: now + fragTTL}
 			t.maybePurgeFrags(now)
@@ -258,30 +258,19 @@ func (t *Table[E]) classifyFragment(b []byte, ih *pkt.IPv4Header, hlen int, now 
 }
 
 // maybePurgeFrags opportunistically drops expired fragment mappings so the
-// map stays bounded without timers. It scans fragOrder, not the map, so the
-// work done is identical on every run; DropFrag tombstones are compacted
-// away on the same pass.
+// map stays bounded without timers. It rotates fragOrder once rather than
+// ranging over the map, so the work done is identical on every run, and
+// the surviving keys keep their insertion order.
 func (t *Table[E]) maybePurgeFrags(now int64) {
-	if len(t.frags) < 1024 && len(t.fragOrder) < 2*len(t.frags)+1024 {
+	if len(t.frags) < 1024 {
 		return
 	}
-	kept := t.fragOrder[:0]
-	for _, k := range t.fragOrder {
-		fe, ok := t.frags[k]
-		if !ok {
-			continue // tombstone left by DropFrag
-		}
-		if fe.expires <= now {
+	for n := t.fragOrder.Len(); n > 0; n-- {
+		k, _ := t.fragOrder.Dequeue()
+		if t.frags[k].expires <= now {
 			delete(t.frags, k)
 			continue
 		}
-		kept = append(kept, k)
+		t.fragOrder.Enqueue(k)
 	}
-	t.fragOrder = kept
-}
-
-// DropFrag removes a fragment mapping (used when reassembly completes or
-// is abandoned).
-func (t *Table[E]) DropFrag(src, dst pkt.Addr, id uint16, proto byte) {
-	delete(t.frags, fragKey{src, dst, id, proto})
 }

@@ -187,17 +187,6 @@ func TestFragmentMappingExpires(t *testing.T) {
 	}
 }
 
-func TestDropFrag(t *testing.T) {
-	tb := NewTable[string]()
-	tb.BindListen(pkt.ProtoUDP, pkt.Addr{}, 7, "echo")
-	first, second := buildFragments(t, 2000)
-	tb.Classify(first, 0)
-	tb.DropFrag(cli, srv, 77, pkt.ProtoUDP)
-	if _, v := tb.Classify(second, 1); v != FragMiss {
-		t.Fatalf("dropped mapping should miss: %v", v)
-	}
-}
-
 func TestClassifyDoesNotAllocateOnFastPath(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -227,8 +216,7 @@ func BenchmarkClassifyUDP(b *testing.B) {
 
 // Regression for the frag-purge rewrite: the purge used to range over the
 // frags map, making the scan order (and thus any future tie-breaking
-// behavior) nondeterministic. It now walks the insertion-order key list
-// and compacts DropFrag tombstones on the same pass.
+// behavior) nondeterministic. It now walks the insertion-order key list.
 func TestFragPurgeScansInsertionOrder(t *testing.T) {
 	tb := NewTable[int]()
 	tb.BindListen(pkt.ProtoUDP, pkt.Addr{}, 99, 7)
@@ -246,16 +234,16 @@ func TestFragPurgeScansInsertionOrder(t *testing.T) {
 		}
 	}
 	// The purge threshold (1024) was crossed, but nothing had expired.
-	if len(tb.frags) != live || len(tb.fragOrder) != live {
-		t.Fatalf("frags=%d order=%d, want %d live mappings", len(tb.frags), len(tb.fragOrder), live)
+	if len(tb.frags) != live || tb.fragOrder.Len() != live {
+		t.Fatalf("frags=%d order=%d, want %d live mappings", len(tb.frags), tb.fragOrder.Len(), live)
 	}
 	// One insert past the TTL expires every earlier mapping in one pass;
 	// only the new mapping survives, and the order list shrinks with it.
 	if _, v := tb.Classify(mkFrag(9999), fragTTL+1); v != Match {
 		t.Fatalf("late first fragment: verdict %v", v)
 	}
-	if len(tb.frags) != 1 || len(tb.fragOrder) != 1 {
-		t.Fatalf("after purge: frags=%d order=%d, want 1", len(tb.frags), len(tb.fragOrder))
+	if len(tb.frags) != 1 || tb.fragOrder.Len() != 1 {
+		t.Fatalf("after purge: frags=%d order=%d, want 1", len(tb.frags), tb.fragOrder.Len())
 	}
 	// The surviving mapping still resolves non-first fragments...
 	late := mkFrag(9999)
@@ -275,9 +263,10 @@ func TestFragPurgeScansInsertionOrder(t *testing.T) {
 	}
 }
 
-// DropFrag leaves a tombstone in the insertion-order list; the purge pass
-// must compact tombstones without disturbing live mappings.
-func TestFragOrderCompactsDropTombstones(t *testing.T) {
+// TestFragPurgeKeepsInsertionOrder expires the older part of a mapping
+// population: the purge pass drops exactly the expired keys, and the
+// survivors keep their insertion order.
+func TestFragPurgeKeepsInsertionOrder(t *testing.T) {
 	tb := NewTable[int]()
 	tb.BindListen(pkt.ProtoUDP, pkt.Addr{}, 99, 7)
 	mkFrag := func(id uint16) []byte {
@@ -287,30 +276,22 @@ func TestFragOrderCompactsDropTombstones(t *testing.T) {
 		pkt.EncodeIPv4(b, &ih)
 		return b
 	}
-	const n = 1200
-	const dropped = 1150
-	for id := 0; id < n; id++ {
+	const old, young = 1100, 100
+	for id := 0; id < old; id++ {
 		tb.Classify(mkFrag(uint16(id)), 0)
 	}
-	for id := 0; id < dropped; id++ {
-		tb.DropFrag(cli, srv, uint16(id), pkt.ProtoUDP)
+	for id := old; id < old+young; id++ {
+		tb.Classify(mkFrag(uint16(id)), 2)
 	}
-	if len(tb.frags) != n-dropped {
-		t.Fatalf("frags=%d after drops, want %d", len(tb.frags), n-dropped)
+	// The next insert purges every mapping made at time 0 and none made
+	// at time 2.
+	tb.Classify(mkFrag(old+young), fragTTL+1)
+	if len(tb.frags) != young+1 || tb.fragOrder.Len() != young+1 {
+		t.Fatalf("frags=%d order=%d, want %d", len(tb.frags), tb.fragOrder.Len(), young+1)
 	}
-	// The next insert leaves the order list dominated by tombstones
-	// (past the 2*live+1024 compaction trigger), so the purge pass runs
-	// and compacts them; the surviving mappings keep insertion order.
-	tb.Classify(mkFrag(n), 0)
-	if len(tb.frags) != n-dropped+1 {
-		t.Fatalf("frags=%d, want %d", len(tb.frags), n-dropped+1)
-	}
-	if len(tb.fragOrder) != len(tb.frags) {
-		t.Fatalf("order=%d not compacted to frags=%d", len(tb.fragOrder), len(tb.frags))
-	}
-	for i, k := range tb.fragOrder[:10] {
-		want := uint16(dropped + i)
-		if k.id != want {
+	for i := 0; i <= young; i++ {
+		k, _ := tb.fragOrder.Dequeue()
+		if want := uint16(old + i); k.id != want {
 			t.Fatalf("fragOrder[%d].id = %d, want %d (insertion order broken)", i, k.id, want)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // pinning the goroutine bridge at zero allocations too.
 // Requests travel as typed fields on the Proc (no interface boxing),
 // all the closures involved are cached at Spawn/New time, and WorkItems
-// ride a free list, so once wait queues and free lists are warm nothing
-// on these paths may allocate.
+// ride the interrupt rings by value, so once wait queues, rings and free
+// lists are warm nothing on these paths may allocate.
 func TestSwitchPathZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -79,7 +79,7 @@ func TestSwitchPathZeroAllocs(t *testing.T) {
 			eng.After(10, post)
 		}
 		eng.After(10, post)
-		eng.RunFor(sim.Millisecond) // warm: WorkItem free list, event pool
+		eng.RunFor(sim.Millisecond) // warm: interrupt ring, event pool
 		if n := testing.AllocsPerRun(100, func() {
 			eng.RunFor(12) // one burst + one preempting interrupt
 		}); n != 0 {

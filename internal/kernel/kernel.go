@@ -24,6 +24,7 @@ package kernel
 import (
 	"fmt"
 
+	"lrp/internal/fifo"
 	"lrp/internal/sim"
 	"lrp/internal/trace"
 )
@@ -155,11 +156,10 @@ type Kernel struct {
 	// Trace, when non-nil, records scheduler and interrupt events.
 	Trace *trace.Log
 
-	hwQ []*WorkItem
-	swQ []*WorkItem
-	// itemFree recycles WorkItems between PostHW/PostSW and burst
-	// completion so posting interrupt work does not allocate once warm.
-	itemFree []*WorkItem
+	// hwQ and swQ hold the pending interrupt work by value; the head of
+	// the band that owns the CPU is the item running.
+	hwQ fifo.Queue[WorkItem]
+	swQ fifo.Queue[WorkItem]
 
 	// procs lists the processes that have not exited, in creation (after
 	// a migration, arrival) order. A process that exits or migrates away
@@ -172,8 +172,7 @@ type Kernel struct {
 	seq   uint64
 
 	cur        band
-	curItem    *WorkItem // head item when cur is bandHW/bandSW
-	curRunProc *Proc     // process owning the burst when cur is bandProc
+	curRunProc *Proc // process owning the burst when cur is bandProc
 	burstEv    sim.Event
 	burstStart sim.Time
 	idleStart  sim.Time
@@ -288,7 +287,7 @@ func (k *Kernel) CurProc() *Proc { return k.curProc }
 //
 //lrp:hotpath
 func (k *Kernel) PostHW(item WorkItem) {
-	k.hwQ = append(k.hwQ, k.takeItem(item)) //lrp:coldalloc queue slice retains capacity across posts
+	k.hwQ.Enqueue(item)
 	k.reschedule()
 }
 
@@ -297,47 +296,12 @@ func (k *Kernel) PostHW(item WorkItem) {
 //
 //lrp:hotpath
 func (k *Kernel) PostSW(item WorkItem) {
-	k.swQ = append(k.swQ, k.takeItem(item)) //lrp:coldalloc queue slice retains capacity across posts
+	k.swQ.Enqueue(item)
 	k.reschedule()
 }
 
-// takeItem boxes item into a recycled (or fresh) heap slot.
-//
-//lrp:hotpath
-func (k *Kernel) takeItem(item WorkItem) *WorkItem {
-	if n := len(k.itemFree); n > 0 {
-		it := k.itemFree[n-1]
-		k.itemFree = k.itemFree[:n-1]
-		*it = item
-		return it
-	}
-	it := new(WorkItem) //lrp:coldalloc free list warms to the high-water mark of in-flight items
-	*it = item
-	return it
-}
-
-// releaseItem returns a completed item to the free list.
-//
-//lrp:hotpath
-func (k *Kernel) releaseItem(it *WorkItem) {
-	it.ChargeTo = nil
-	it.Fn = nil
-	k.itemFree = append(k.itemFree, it) //lrp:coldalloc free list warms to the high-water mark of in-flight items
-}
-
-// popIntr removes the head of an interrupt queue in place, preserving
-// the slice's backing array so a queue that drains and refills never
-// re-allocates.
-//
-//lrp:hotpath
-func popIntr(q []*WorkItem) []*WorkItem {
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	return q[:len(q)-1]
-}
-
 // SWPending returns the number of queued software-interrupt work items.
-func (k *Kernel) SWPending() int { return len(k.swQ) }
+func (k *Kernel) SWPending() int { return k.swQ.Len() }
 
 // newProc allocates and registers a process shell: runnable state,
 // cached timeout callback, process list membership. The caller attaches
@@ -544,7 +508,9 @@ func (k *Kernel) closeBurst() {
 	k.burstEv = sim.Event{}
 	switch k.cur {
 	case bandHW, bandSW:
-		it := k.curItem
+		// Fetched afresh: a post during the burst may have grown the ring
+		// and moved the running item.
+		it := k.intrQ(k.cur).Front()
 		it.Cost -= elapsed
 		if elapsed > 0 {
 			k.bandEpoch++
@@ -556,9 +522,16 @@ func (k *Kernel) closeBurst() {
 		k.charge(bandProc, p.pendingTarget(), p.pendingSys, elapsed)
 	}
 	k.cur = bandIdle
-	k.curItem = nil
 	k.curRunProc = nil
 	k.idleStart = now
+}
+
+// intrQ returns the interrupt queue of band b (bandHW or bandSW).
+func (k *Kernel) intrQ(b band) *fifo.Queue[WorkItem] {
+	if b == bandHW {
+		return &k.hwQ
+	}
+	return &k.swQ
 }
 
 // reschedule is the dispatcher: it decides which band/process should own
@@ -578,10 +551,10 @@ func (k *Kernel) reschedule() {
 		k.needResched = false
 		k.closeBurst()
 		switch {
-		case len(k.hwQ) > 0:
-			k.openItemBurst(bandHW, k.hwQ[0])
-		case len(k.swQ) > 0:
-			k.openItemBurst(bandSW, k.swQ[0])
+		case k.hwQ.Len() > 0:
+			k.openItemBurst(bandHW)
+		case k.swQ.Len() > 0:
+			k.openItemBurst(bandSW)
 		default:
 			p := k.pickProc()
 			if p == nil && k.Group != nil && k.Group.Steal != nil {
@@ -611,16 +584,11 @@ func (k *Kernel) reschedule() {
 	}
 }
 
-// openItemBurst starts executing the head interrupt work item.
-func (k *Kernel) openItemBurst(b band, it *WorkItem) {
+// openItemBurst starts executing the head work item of band b's queue.
+func (k *Kernel) openItemBurst(b band) {
 	k.cur = b
-	k.curItem = it
 	k.burstStart = k.Eng.Now()
-	cost := it.Cost
-	if cost < 0 {
-		cost = 0
-	}
-	k.burstEv = k.Eng.After(cost, k.burstDoneFn)
+	k.burstEv = k.Eng.After(max(k.intrQ(b).Front().Cost, 0), k.burstDoneFn)
 }
 
 // openProcBurst starts executing p's pending work, applying context-switch
@@ -662,27 +630,21 @@ func (k *Kernel) openProcBurst(p *Proc) {
 //lrp:hotpath
 func (k *Kernel) onBurstDone() {
 	k.enter()
-	was, item, p := k.cur, k.curItem, k.curRunProc
+	was, p := k.cur, k.curRunProc
 	k.closeBurst()
 	switch was {
-	case bandHW:
-		k.hwQ = popIntr(k.hwQ)
+	case bandHW, bandSW:
+		item, _ := k.intrQ(was).Dequeue()
 		if k.Trace != nil {
-			k.Trace.Add(trace.KindIntr, "%s: hw work done", k.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
+			if was == bandHW {
+				k.Trace.Add(trace.KindIntr, "%s: hw work done", k.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
+			} else {
+				k.Trace.Add(trace.KindSoftIntr, "%s: sw work done", k.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
+			}
 		}
 		if item.Fn != nil {
 			item.Fn()
 		}
-		k.releaseItem(item)
-	case bandSW:
-		k.swQ = popIntr(k.swQ)
-		if k.Trace != nil {
-			k.Trace.Add(trace.KindSoftIntr, "%s: sw work done", k.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-		}
-		if item.Fn != nil {
-			item.Fn()
-		}
-		k.releaseItem(item)
 	case bandProc:
 		if p.pendingWork <= 0 {
 			// The process keeps the CPU: step it inline, apply its

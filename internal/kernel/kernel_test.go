@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"lrp/internal/sim"
@@ -523,5 +524,60 @@ func TestMisAccountingRaisesVictimUsage(t *testing.T) {
 	// interrupt time delivered.
 	if st := k.Stats(); st.HWTime != tot {
 		t.Fatalf("hw time %d, charged %d", st.HWTime, tot)
+	}
+}
+
+// TestIntrQueuesGrowMidBurst grows both interrupt queues past their
+// capacity while their head item is mid-burst — the software ring while
+// it is wrapped — and the software queue again while its head is
+// preempted. The queues hold items by value, so a growth moves the
+// running item: every item must still run once, in post order, and the
+// time charged at each level must equal the sum of the costs posted
+// there.
+func TestIntrQueuesGrowMidBurst(t *testing.T) {
+	eng, k := newTestKernel(t)
+	var ran []int
+	var hwSum, swSum int64
+	post := func(hw bool, from, to int, cost int64) {
+		for id := from; id <= to; id++ {
+			item := WorkItem{Cost: cost, Fn: func() { ran = append(ran, id) }}
+			if hw {
+				hwSum += cost
+				k.PostHW(item)
+			} else {
+				swSum += cost
+				k.PostSW(item)
+			}
+		}
+	}
+	// Items 1-5 run at once and advance the software ring's head; item 6
+	// runs long. By t=10 the 8-slot ring is full and wrapped, so the post
+	// at t=12, 2 µs into item 6's burst, grows it under the running item.
+	eng.At(0, func() { post(false, 1, 5, 1) })
+	eng.At(5, func() { post(false, 6, 6, 100) })
+	eng.At(10, func() { post(false, 7, 13, 5) })
+	eng.At(12, func() { post(false, 14, 14, 5) })
+	// Hardware work preempts item 6 and fills a 16-slot ring; the software
+	// ring grows again while item 6 waits.
+	eng.At(30, func() {
+		post(true, 101, 116, 3)
+		post(false, 15, 34, 5)
+	})
+	// 2 µs into item 101's burst, the hardware ring grows under it.
+	eng.At(32, func() { post(true, 117, 120, 3) })
+	eng.RunFor(sim.Millisecond)
+
+	var want []int
+	for _, r := range [][2]int{{1, 5}, {101, 120}, {6, 34}} {
+		for id := r[0]; id <= r[1]; id++ {
+			want = append(want, id)
+		}
+	}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("run order %v, want %v", ran, want)
+	}
+	st := k.Stats()
+	if st.HWTime != hwSum || st.SWTime != swSum {
+		t.Errorf("HWTime %d SWTime %d, want the posted sums %d %d", st.HWTime, st.SWTime, hwSum, swSum)
 	}
 }

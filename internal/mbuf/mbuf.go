@@ -18,7 +18,11 @@
 // points as when Free simply discarded the buffer.
 package mbuf
 
-import "fmt"
+import (
+	"fmt"
+
+	"lrp/internal/fifo"
+)
 
 // bufClasses are the recycled storage sizes, chosen to cover the common
 // packet populations: small control packets, ordinary datagrams, and
@@ -343,65 +347,25 @@ func (p *Pool) String() string {
 		p.inUse, p.limit, p.highWater, p.allocs, p.failures)
 }
 
-// Queue is a bounded FIFO of mbufs — the building block for the shared IP
-// queue, socket queues, interface queues, and NI channel queues. A Limit of
-// 0 means unbounded. The queue is a ring buffer: steady-state enqueue and
-// dequeue touch no allocator.
+// Queue is a bounded FIFO of mbufs — the NIC receive rings, interface
+// queues and NI channel queues: a fifo.Queue (Limit 0 means unbounded)
+// that frees a packet it refuses.
 type Queue struct {
-	Limit int
-	ring  []*Mbuf
-	head  int
-	count int
-	drops uint64
+	fifo.Queue[*Mbuf]
 }
 
 // NewQueue returns a queue bounded at limit packets (0 = unbounded).
-func NewQueue(limit int) *Queue { return &Queue{Limit: limit} }
-
-// Len returns the number of queued packets.
-func (q *Queue) Len() int { return q.count }
-
-// Full reports whether an Enqueue would be refused.
-func (q *Queue) Full() bool { return q.Limit > 0 && q.count >= q.Limit }
-
-// Drops returns the number of packets refused because the queue was full.
-func (q *Queue) Drops() uint64 { return q.drops }
-
-// grow doubles the ring, unwrapping the live entries to the front.
-//
-//lrp:coldalloc amortized geometric growth: at most log2(peak) allocations per queue lifetime
-func (q *Queue) grow() {
-	n := len(q.ring) * 2
-	if n < 8 {
-		n = 8
-	}
-	ring := make([]*Mbuf, n)
-	for i := 0; i < q.count; i++ {
-		ring[i] = q.ring[(q.head+i)%len(q.ring)]
-	}
-	q.ring = ring
-	q.head = 0
-}
+func NewQueue(limit int) *Queue { return &Queue{fifo.Queue[*Mbuf]{Limit: limit}} }
 
 // Enqueue appends m, or frees it and returns false if the queue is full.
 // (Callers that must not free on failure should test Full first.)
 //
 //lrp:hotpath
 func (q *Queue) Enqueue(m *Mbuf) bool {
-	if q.Full() {
-		q.drops++
+	if !q.Queue.Enqueue(m) {
 		m.Free()
 		return false
 	}
-	if q.count == len(q.ring) {
-		q.grow()
-	}
-	i := q.head + q.count
-	if i >= len(q.ring) {
-		i -= len(q.ring)
-	}
-	q.ring[i] = m
-	q.count++
 	return true
 }
 
@@ -409,16 +373,7 @@ func (q *Queue) Enqueue(m *Mbuf) bool {
 //
 //lrp:hotpath
 func (q *Queue) Dequeue() *Mbuf {
-	if q.count == 0 {
-		return nil
-	}
-	m := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head++
-	if q.head == len(q.ring) {
-		q.head = 0
-	}
-	q.count--
+	m, _ := q.Queue.Dequeue()
 	return m
 }
 
@@ -426,15 +381,15 @@ func (q *Queue) Dequeue() *Mbuf {
 //
 //lrp:hotpath
 func (q *Queue) Peek() *Mbuf {
-	if q.count == 0 {
-		return nil
+	if f := q.Front(); f != nil {
+		return *f
 	}
-	return q.ring[q.head]
+	return nil
 }
 
 // Flush frees all queued packets and empties the queue.
 func (q *Queue) Flush() {
-	for q.count > 0 {
+	for q.Len() > 0 {
 		q.Dequeue().Free()
 	}
 }

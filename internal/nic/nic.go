@@ -11,6 +11,7 @@
 package nic
 
 import (
+	"lrp/internal/fifo"
 	"lrp/internal/mbuf"
 	"lrp/internal/sim"
 )
@@ -116,17 +117,15 @@ type NIC struct {
 	rxq          []rxQueue
 	intrDisabled bool
 
-	nicBacklog   int      // packets queued for the embedded processor
-	nicBusyUntil sim.Time // when the embedded processor finishes its backlog
-	// nicPend holds the packets awaiting the embedded processor, FIFO from
-	// nicHead. The processor serves packets serially, so completion times
-	// are non-decreasing and completions fire in post order: the head is
+	// backlog holds the packets awaiting the embedded processor. The
+	// processor serves packets serially, so completion times are
+	// non-decreasing and completions fire in post order: the head is
 	// always the packet being finished. nicStep is the single completion
 	// thunk shared by every packet — a per-packet closure would allocate
 	// per packet.
-	nicPend []*mbuf.Mbuf
-	nicHead int
-	nicStep func()
+	backlog      fifo.Queue[*mbuf.Mbuf]
+	nicBusyUntil sim.Time // when the embedded processor finishes its backlog
+	nicStep      func()
 
 	ifq    *mbuf.Queue
 	txBusy bool
@@ -188,14 +187,7 @@ func New(eng *sim.Engine, cfg Config) *NIC {
 	}
 	n.txDoneFn = n.txDone
 	n.nicStep = func() {
-		m := n.nicPend[n.nicHead]
-		n.nicPend[n.nicHead] = nil
-		n.nicHead++
-		if n.nicHead == len(n.nicPend) {
-			n.nicPend = n.nicPend[:0]
-			n.nicHead = 0
-		}
-		n.nicBacklog--
+		m, _ := n.backlog.Dequeue()
 		if n.OnNICProcess != nil {
 			n.OnNICProcess(m)
 		} else {
@@ -254,7 +246,7 @@ func (n *NIC) Rx(b []byte) {
 			n.raiseRing(q)
 		}
 	case ModeSmart:
-		if n.nicBacklog >= n.NICInputLimit {
+		if n.backlog.Len() >= n.NICInputLimit {
 			n.stats.NICDrops++
 			return
 		}
@@ -270,8 +262,7 @@ func (n *NIC) Rx(b []byte) {
 			n.nicBusyUntil = now
 		}
 		n.nicBusyUntil += n.NICPerPktCost
-		n.nicBacklog++
-		n.nicPend = append(n.nicPend, m) //lrp:coldalloc grows to the backlog high-water, then stabilizes
+		n.backlog.Enqueue(m)
 		n.Eng.At(n.nicBusyUntil, n.nicStep)
 	}
 }

@@ -211,3 +211,28 @@ func TestChannelProcessingDisabled(t *testing.T) {
 		t.Fatal("dropped packet leaked")
 	}
 }
+
+// TestSmartModeBacklogStorageBounded keeps the embedded processor
+// saturated for 4 s — 60 µs per packet against Poisson arrivals at 24k
+// pkt/s, so the backlog never drains — and checks that the backlog's
+// storage stays within twice its NICInputLimit bound.
+func TestSmartModeBacklogStorageBounded(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, Config{Mode: ModeSmart, NICPerPktCost: 60, NICInputLimit: 256})
+	n.OnNICProcess = func(m *mbuf.Mbuf) { m.Free() }
+	rng := sim.NewRand(1)
+	frame := make([]byte, 64)
+	var arrive func()
+	arrive = func() {
+		n.Rx(frame)
+		eng.After(rng.ExpDuration(1_000_000/24_000), arrive)
+	}
+	eng.At(0, arrive)
+	eng.RunFor(4 * sim.Second)
+	if n.Stats().NICDrops == 0 {
+		t.Fatal("the embedded processor never saturated")
+	}
+	if c := n.backlog.Cap(); c > 2*n.NICInputLimit {
+		t.Errorf("backlog holds %d slots for a limit of %d packets", c, n.NICInputLimit)
+	}
+}

@@ -10,6 +10,20 @@ package pkt
 // thin wrappers that allocate a fresh exact-size buffer, preserving their
 // original output byte for byte.
 
+// zeroPayload backs Zeros. It must stay all-zero: the append builders
+// copy from it, never into it.
+var zeroPayload = make([]byte, 64*1024)
+
+// Zeros returns an all-zero payload of length n for a traffic generator
+// to copy into a packet: a shared read-only slice up to 64 KB, a fresh
+// one beyond. The caller must not write to it.
+func Zeros(n int) []byte {
+	if n <= len(zeroPayload) {
+		return zeroPayload[:n]
+	}
+	return make([]byte, n)
+}
+
 // UDPTotalLen returns the on-wire length of a UDP packet with the given
 // payload size — the capacity a caller should reserve before AppendUDP.
 func UDPTotalLen(payloadLen int) int {

@@ -39,22 +39,8 @@ import (
 // holds 2^20 addresses the way clientAddr packs them.
 const MaxClients = 1 << 20
 
-// genPoolLimit bounds the generator's private buffer pool (see
-// app.genPoolLimit: recycling efficiency, not correctness).
-const genPoolLimit = 4096
-
 // never is an event time that does not arrive.
 const never = int64(1) << 62
-
-// zeroPayload backs the all-zero payloads; copied from, never into.
-var zeroPayload = make([]byte, 64*1024)
-
-func zeros(n int) []byte {
-	if n <= len(zeroPayload) {
-		return zeroPayload[:n]
-	}
-	return make([]byte, n)
-}
 
 // Config parameterizes one aggregated population.
 type Config struct {
@@ -161,7 +147,7 @@ func (g *Population) Start() {
 		panic(fmt.Sprintf("pop: client identities %d..%d exceed the %d-address space", cfg.ClientBase, cfg.ClientBase+cfg.Clients, MaxClients))
 	}
 	g.Cfg = cfg
-	g.pool = mbuf.NewPool(genPoolLimit)
+	g.pool = mbuf.NewPool(0)
 
 	// One forked stream per stochastic dimension: arrival gaps, request
 	// sizes, client identity, churn, MMPP modulation. Forking (rather
@@ -278,12 +264,9 @@ func (g *Population) sendOne(szr, cli *sim.Rand, active int) {
 	if g.OnSend != nil {
 		g.OnSend(src, sport, size)
 	}
-	if m := g.pool.AllocBuf(pkt.UDPTotalLen(size)); m != nil {
-		m.Data = pkt.AppendUDP(m.Data, src, g.Dst, sport, g.DPort, g.ipid, g.Cfg.TTL, zeros(size), true)
-		g.Net.InjectMbufFrom(g.Src, m)
-		return
-	}
-	g.Net.InjectFrom(g.Src, pkt.UDPPacket(src, g.Dst, sport, g.DPort, g.ipid, g.Cfg.TTL, make([]byte, size), true))
+	m := g.pool.AllocBuf(pkt.UDPTotalLen(size))
+	m.Data = pkt.AppendUDP(m.Data, src, g.Dst, sport, g.DPort, g.ipid, g.Cfg.TTL, pkt.Zeros(size), true)
+	g.Net.InjectMbufFrom(g.Src, m)
 }
 
 // clientAddr maps a client identity to its synthetic 172.16/12 address.

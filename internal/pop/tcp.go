@@ -109,7 +109,7 @@ func (c *SessionChurn) Start() {
 					}
 					continue
 				}
-				ss = core.SendStreamOp{Data: zeros(paretoSize(szr, c.SizeMin, c.SizeMax, c.SizeAlpha))}
+				ss = core.SendStreamOp{Data: pkt.Zeros(paretoSize(szr, c.SizeMin, c.SizeMax, c.SizeAlpha))}
 				pc = scSend
 			case scSend:
 				if !c.Host.SendStreamStep(p, sck, &ss) {

@@ -105,10 +105,11 @@ func New(eng *sim.Engine, ks []*kernel.Kernel, cfg Config) *Cluster {
 		c := c
 		// The delivered signal is a hardware interrupt on the home CPU;
 		// its work item drains every wakeup queued while it was in
-		// flight.
+		// flight. The drain is bound once, not built per IPI.
+		drain := func() { cl.drainWakes(c) }
 		c.ipi.Deliver = func() {
 			c.stats.IPIsDelivered++
-			c.k.PostHW(kernel.WorkItem{Cost: cl.cfg.IPICost, Fn: func() { cl.drainWakes(c) }})
+			c.k.PostHW(kernel.WorkItem{Cost: cl.cfg.IPICost, Fn: drain})
 		}
 		c.k.Group = cl.g
 	}

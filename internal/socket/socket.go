@@ -7,6 +7,7 @@
 package socket
 
 import (
+	"lrp/internal/fifo"
 	"lrp/internal/kernel"
 	"lrp/internal/mbuf"
 	"lrp/internal/nic"
@@ -53,76 +54,11 @@ func (d *Datagram) Release() {
 }
 
 // DgramQueue is a bounded FIFO of received datagrams (the BSD socket
-// receive queue for UDP, bounded in messages). It is a ring that keeps its
-// capacity, so a queue that drains to empty refills without allocating.
-type DgramQueue struct {
-	Limit int
-	ring  []Datagram
-	head  int
-	count int
-	drops uint64
-}
+// receive queue for UDP, bounded in messages; Limit 0 means unbounded).
+type DgramQueue = fifo.Queue[Datagram]
 
 // NewDgramQueue returns a queue bounded at limit datagrams (0 = unbounded).
 func NewDgramQueue(limit int) *DgramQueue { return &DgramQueue{Limit: limit} }
-
-// Len returns the number of queued datagrams.
-func (q *DgramQueue) Len() int { return q.count }
-
-// Full reports whether the queue is at its limit.
-func (q *DgramQueue) Full() bool { return q.Limit > 0 && q.count >= q.Limit }
-
-// Drops returns the count of datagrams refused because the queue was full.
-func (q *DgramQueue) Drops() uint64 { return q.drops }
-
-// grow doubles the ring, unwrapping the live entries to the front.
-//
-//lrp:coldalloc amortized geometric growth: at most log2(peak) allocations per queue lifetime
-func (q *DgramQueue) grow() {
-	n := len(q.ring) * 2
-	if n < 8 {
-		n = 8
-	}
-	ring := make([]Datagram, n)
-	for i := 0; i < q.count; i++ {
-		ring[i] = q.ring[(q.head+i)%len(q.ring)]
-	}
-	q.ring = ring
-	q.head = 0
-}
-
-// Enqueue appends d; it reports false (and counts a drop) if full.
-func (q *DgramQueue) Enqueue(d Datagram) bool {
-	if q.Full() {
-		q.drops++
-		return false
-	}
-	if q.count == len(q.ring) {
-		q.grow()
-	}
-	i := q.head + q.count
-	if i >= len(q.ring) {
-		i -= len(q.ring)
-	}
-	q.ring[i] = d
-	q.count++
-	return true
-}
-
-// Dequeue removes and returns the head datagram.
-func (q *DgramQueue) Dequeue() (Datagram, bool) {
-	if q.count == 0 {
-		return Datagram{}, false
-	}
-	d := q.ring[q.head]
-	q.ring[q.head] = Datagram{}
-	q.head++
-	if q.head == len(q.ring) {
-		q.head = 0
-	}
-	q.count--
-	return d, true
-}
 
 // StreamBuf is a bounded byte buffer (TCP send/receive socket buffer).
 type StreamBuf struct {
@@ -253,11 +189,6 @@ type Socket struct {
 	// NIChan is the LRP network-interface channel feeding this socket
 	// (nil under BSD and Early-Demux).
 	NIChan *nic.Channel
-
-	// SignalAct caches the host's channel-signal action for this socket so
-	// the empty->nonempty interrupt path does not allocate a closure per
-	// signal. Built lazily by the host; opaque to this package.
-	SignalAct func()
 
 	// Wait queues.
 	RcvWait    kernel.WaitQ

@@ -16,6 +16,7 @@ package tcp
 import (
 	"fmt"
 
+	"lrp/internal/fifo"
 	"lrp/internal/pkt"
 	"lrp/internal/socket"
 )
@@ -215,7 +216,7 @@ type Conn struct {
 	listening bool
 	backlog   int
 	synCount  int
-	acceptQ   []*Conn
+	acceptQ   fifo.Queue[*Conn]
 	parent    *Conn
 
 	ipID uint16
@@ -266,22 +267,21 @@ func (c *Conn) ListenOn(backlog int) {
 // BacklogFull reports whether a new SYN would currently be refused —
 // LRP's trigger for disabling protocol processing on the listen channel.
 func (c *Conn) BacklogFull() bool {
-	return c.listening && c.synCount+len(c.acceptQ) >= c.backlog
+	return c.listening && c.synCount+c.acceptQ.Len() >= c.backlog
 }
 
 // Accept dequeues an established connection from a listener.
 func (c *Conn) Accept() (*Conn, bool) {
-	if len(c.acceptQ) == 0 {
+	nc, ok := c.acceptQ.Dequeue()
+	if !ok {
 		return nil, false
 	}
-	nc := c.acceptQ[0]
-	c.acceptQ = c.acceptQ[1:]
 	nc.parent = nil
 	return nc, true
 }
 
 // AcceptQueueLen returns the number of connections awaiting accept.
-func (c *Conn) AcceptQueueLen() int { return len(c.acceptQ) }
+func (c *Conn) AcceptQueueLen() int { return c.acceptQ.Len() }
 
 // Connect starts an active open (sends the SYN).
 func (c *Conn) Connect() {

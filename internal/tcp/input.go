@@ -149,7 +149,7 @@ func (c *Conn) ackInput(h *pkt.TCPHeader) {
 			c.State = Established
 			if p := c.parent; p != nil {
 				p.synCount--
-				p.acceptQ = append(p.acceptQ, c) //lrp:coldalloc once per accepted connection, bounded by the listen backlog
+				p.acceptQ.Enqueue(c)
 				p.notify(EvAcceptable)
 			}
 			c.notify(EvEstablished)

@@ -234,3 +234,32 @@ func sinkUDP(t *Topology) *int {
 	})
 	return &got
 }
+
+// TestEagerGatewaysPayTheSameForwardingPrice forwards spaced datagrams
+// through a BSD gateway and through an Early-Demux gateway: both price a
+// transit packet as eager software-interrupt work — IP input and output,
+// the eager-processing penalty, and the softint dispatch.
+func TestEagerGatewaysPayTheSameForwardingPrice(t *testing.T) {
+	const n = 20
+	cm := core.DefaultCosts()
+	want := cm.IPInCost + cm.IPOutCost + cm.EagerProtoPenalty + cm.SWDispatchFixed
+	for _, arch := range []core.Arch{core.ArchBSD, core.ArchEarlyDemux} {
+		t.Run(arch.String(), func(t *testing.T) {
+			spec, eng := testSpec(arch)
+			topo := Chain(spec, 1)
+			defer topo.Shutdown()
+			edge, gw := topo.Edges[0], topo.Gateways[0]
+			b := pkt.UDPPacket(edge.Addr, topo.Server.Addr, 99, 7, 1, 64, nil, true)
+			for i := 1; i <= n; i++ {
+				eng.At(sim.Time(i)*sim.Millisecond, func() { topo.Net.InjectFrom(edge.Addr, b) })
+			}
+			eng.RunFor((n + 10) * sim.Millisecond)
+			if got := gw.ForwardStats().Forwarded; got != n {
+				t.Fatalf("gateway forwarded %d packets, want %d", got, n)
+			}
+			if sw := gw.K.Stats().SWTime; sw != n*want {
+				t.Errorf("gateway software-interrupt time %d µs for %d packets, want %d µs each", sw, n, want)
+			}
+		})
+	}
+}
