@@ -31,6 +31,9 @@ type HTTPServer struct {
 	// resp is the response, built once by Start. SendStream copies it into
 	// each connection's send buffer, so every handler shares it.
 	resp []byte
+	// rbuf receives every handler's request. A handler only tests a read
+	// for end of stream, so they share it.
+	rbuf []byte
 }
 
 // Start spawns the accept loop; each connection is handled by its own
@@ -46,6 +49,7 @@ func (s *HTTPServer) Start() {
 		s.PerRequestCompute = 500
 	}
 	s.resp = s.doc()
+	s.rbuf = make([]byte, httpReqMax)
 	var (
 		pc  int
 		l   *socket.Socket
@@ -83,58 +87,65 @@ func (s *HTTPServer) Start() {
 				acc = core.AcceptOp{}
 				n++
 				name := fmt.Sprintf("httpd-%d", n)
-				s.Host.K.SpawnStep(name, 0, s.handleStep(cs))
+				hd := &httpHandler{s: s, cs: cs, rs: core.RecvStreamOp{Buf: s.rbuf}}
+				s.Host.K.SpawnStep(name, 0, hd.step)
 			}
 		}
 	})
 }
 
-// handleStep builds the per-connection handler machine: read the request,
-// compute, respond, close.
-func (s *HTTPServer) handleStep(cs *socket.Socket) kernel.StepFn {
-	var (
-		pc int
-		rs core.RecvStreamOp
-		ss core.SendStreamOp
-		cl core.CloseTCPOp
-	)
-	return func(p *kernel.Proc) {
-		for {
-			switch pc {
-			case 0:
-				if !s.Host.RecvStreamStep(p, cs, 4096, &rs) {
-					return
-				}
-				if rs.Err != nil || rs.Data == nil {
-					s.Host.AbortTCP(nil, cs)
-					p.ReqExit()
-					return
-				}
-				pc = 1
-				if p.ReqCompute(s.PerRequestCompute) {
-					return
-				}
-			case 1:
-				ss = core.SendStreamOp{Data: s.resp}
-				pc = 2
-			case 2:
-				if !s.Host.SendStreamStep(p, cs, &ss) {
-					return
-				}
-				if ss.Err != nil {
-					s.Host.AbortTCP(nil, cs)
-					p.ReqExit()
-					return
-				}
-				pc = 3
-			case 3:
-				if !s.Host.CloseTCPStep(p, cs, &cl) {
-					return
-				}
-				s.Served.Inc()
+// httpReqMax bounds one read of a request.
+const httpReqMax = 4096
+
+// httpHandler is the per-connection handler machine: read the request,
+// compute, respond, close. Its state and system-call frames are one
+// allocation.
+type httpHandler struct {
+	s  *HTTPServer
+	cs *socket.Socket
+	pc int
+	rs core.RecvStreamOp
+	ss core.SendStreamOp
+	cl core.CloseTCPOp
+}
+
+func (hd *httpHandler) step(p *kernel.Proc) {
+	s, cs := hd.s, hd.cs
+	for {
+		switch hd.pc {
+		case 0:
+			if !s.Host.RecvStreamStep(p, cs, httpReqMax, &hd.rs) {
+				return
+			}
+			if hd.rs.Err != nil || hd.rs.Data == nil {
+				s.Host.AbortTCP(nil, cs)
 				p.ReqExit()
 				return
 			}
+			hd.pc = 1
+			if p.ReqCompute(s.PerRequestCompute) {
+				return
+			}
+		case 1:
+			hd.ss = core.SendStreamOp{Data: s.resp}
+			hd.pc = 2
+		case 2:
+			if !s.Host.SendStreamStep(p, cs, &hd.ss) {
+				return
+			}
+			if hd.ss.Err != nil {
+				s.Host.AbortTCP(nil, cs)
+				p.ReqExit()
+				return
+			}
+			hd.pc = 3
+		case 3:
+			if !s.Host.CloseTCPStep(p, cs, &hd.cl) {
+				return
+			}
+			s.Served.Inc()
+			p.ReqExit()
+			return
 		}
 	}
 }
@@ -161,6 +172,13 @@ type HTTPClient struct {
 	Proc      *kernel.Proc
 }
 
+// httpRequest is the request every client sends; SendStream copies it
+// into the connection's send buffer.
+var httpRequest = []byte("GET /index.html HTTP/1.0\r\n\r\n")
+
+// httpRespMax bounds one read of a response.
+const httpRespMax = 16 * 1024
+
 // HTTP client machine states: one fetch per pass through hcConn..hcClose.
 const (
 	hcStart = iota
@@ -182,6 +200,10 @@ func (c *HTTPClient) Start() {
 		ss    core.SendStreamOp
 		rs    core.RecvStreamOp
 		cl    core.CloseTCPOp
+		// rbuf receives every read; the client only counts the bytes. It
+		// is made on the first read, which keeps it out of world setup:
+		// that is Start and the first steps, which SpawnStep runs at once.
+		rbuf []byte
 	)
 	fail := func(p *kernel.Proc) bool {
 		c.Host.AbortTCP(nil, sck)
@@ -210,7 +232,7 @@ func (c *HTTPClient) Start() {
 					}
 					continue
 				}
-				ss = core.SendStreamOp{Data: []byte("GET /index.html HTTP/1.0\r\n\r\n")}
+				ss = core.SendStreamOp{Data: httpRequest}
 				pc = hcSend
 			case hcSend:
 				if !c.Host.SendStreamStep(p, sck, &ss) {
@@ -222,10 +244,13 @@ func (c *HTTPClient) Start() {
 					}
 					continue
 				}
-				rs = core.RecvStreamOp{}
+				if rbuf == nil {
+					rbuf = make([]byte, httpRespMax)
+				}
+				rs = core.RecvStreamOp{Buf: rbuf}
 				pc = hcRecv
 			case hcRecv:
-				if !c.Host.RecvStreamStep(p, sck, 16*1024, &rs) {
+				if !c.Host.RecvStreamStep(p, sck, httpRespMax, &rs) {
 					return
 				}
 				if rs.Err != nil {
@@ -242,7 +267,7 @@ func (c *HTTPClient) Start() {
 				if len(rs.Data) > 0 {
 					ok = true
 				}
-				rs = core.RecvStreamOp{}
+				rs = core.RecvStreamOp{Buf: rbuf}
 			case hcClose:
 				if !c.Host.CloseTCPStep(p, sck, &cl) {
 					return

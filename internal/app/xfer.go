@@ -188,6 +188,9 @@ type TCPTransfer struct {
 	Done     bool
 }
 
+// xferReadMax bounds one read of the transfer.
+const xferReadMax = 64 * 1024
+
 // Start spawns both sides.
 func (x *TCPTransfer) Start() {
 	var (
@@ -197,6 +200,8 @@ func (x *TCPTransfer) Start() {
 		lis core.ListenOp
 		acc core.AcceptOp
 		rs  core.RecvStreamOp
+		// rbuf receives every read; the receiver only counts the bytes.
+		rbuf []byte
 	)
 	x.Server.K.SpawnStep("tcpxfer-rx", 0, func(p *kernel.Proc) {
 		for {
@@ -224,9 +229,11 @@ func (x *TCPTransfer) Start() {
 					return
 				}
 				cs = acc.NS
+				rbuf = make([]byte, xferReadMax)
+				rs = core.RecvStreamOp{Buf: rbuf}
 				rpc = 3
 			case 3:
-				if !x.Server.RecvStreamStep(p, cs, 64*1024, &rs) {
+				if !x.Server.RecvStreamStep(p, cs, xferReadMax, &rs) {
 					return
 				}
 				if rs.Err != nil || rs.Data == nil {
@@ -236,7 +243,7 @@ func (x *TCPTransfer) Start() {
 					return
 				}
 				x.Received += len(rs.Data)
-				rs = core.RecvStreamOp{}
+				rs = core.RecvStreamOp{Buf: rbuf}
 			}
 		}
 	})

@@ -30,7 +30,7 @@ func (h *Host) startICMPDaemon() {
 	s.RecvDgrams = socket.NewDgramQueue(h.CM.SockQueueLimit)
 	h.sockets = append(h.sockets, s)
 	h.icmpSock = s
-	h.attachChannel(s)
+	h.attachChannel(s, nil)
 	h.pcbs.BindProto(pkt.ProtoICMP, s)
 	proc := h.K.SpawnStep(h.Name+"/icmpd", 0, h.proxyStep(s))
 	proc.Pinned = true // kernel daemon: never migrated off CPU 0

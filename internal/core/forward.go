@@ -44,7 +44,7 @@ func (h *Host) EnableForwarding(nice int) {
 	s.Local = h.Addr
 	h.sockets = append(h.sockets, s)
 	h.fwdSock = s
-	h.attachChannel(s)
+	h.attachChannel(s, nil)
 	proc := h.K.SpawnStep(h.Name+"/ipfwd", nice, h.proxyStep(s))
 	proc.Pinned = true // kernel daemon: never migrated off CPU 0
 	s.Owner = proc

@@ -142,8 +142,11 @@ type Host struct {
 	// drops, deliveries). Enable with EnableTrace.
 	Trace *trace.Log
 
-	hooks  tcp.Hooks
-	timers map[*tcp.Conn]*connTimers
+	hooks tcp.Hooks
+	// bufs recycles the stream-buffer storage of dead connections: their
+	// buffers hand it over in deallocConn, and a live connection's buffer
+	// takes from it on its first append.
+	bufs socket.BufFreeList
 	// appQ holds protocol work records: the LRP APP thread drains it, and
 	// on the eager kernels timerFn pops one timer expiry per software
 	// interrupt.
@@ -158,15 +161,29 @@ type Host struct {
 	stats Stats
 }
 
+// connRec is a stream socket and everything its connection holds on the
+// host, in one allocation: the socket, the TCP connection with its stream
+// buffers, the connection's timer bookkeeping and, under LRP, its NI
+// channel with the channel's queue. NewTCPSocket makes one for an
+// application's socket, newChildConn one per accepted connection.
+// Records are never recycled: an application, a queued appWork record, a
+// softnet hint or a timer expiry may still point into a dead one.
+type connRec struct {
+	sock   socket.Socket
+	conn   tcp.Conn
+	timers connTimers
+	ch     nic.Channel
+	chq    mbuf.Queue
+}
+
 // connTimers tracks a connection's armed timers with generation counters,
 // so a timer that fires but whose processing is still queued (e.g. behind
-// the APP thread) can be invalidated by a later disarm. expire holds each
-// timer's expiry thunk, built on its first arm and reused by every later
-// one.
+// the APP thread) can be invalidated by a later disarm. fire is the expiry
+// callback of every one of them, bound on the first arm.
 type connTimers struct {
-	ev     [tcp.NumTimers]sim.Event
-	gen    [tcp.NumTimers]uint64
-	expire [tcp.NumTimers]func()
+	ev   [tcp.NumTimers]sim.Event
+	gen  [tcp.NumTimers]uint64
+	fire func()
 }
 
 // appWork is one unit of protocol work: either "drain this socket's
@@ -219,7 +236,6 @@ func NewHost(eng *sim.Engine, nw *netsim.Network, cfg Config) *Host {
 		Name:      cfg.Name,
 		pcbs:      demux.NewTable[*socket.Socket](),
 		reasm:     ipv4.NewReassembler(),
-		timers:    make(map[*tcp.Conn]*connTimers),
 		ephemeral: 49152,
 		iss:       1,
 	}
@@ -502,12 +518,20 @@ func (h *Host) demuxCostFor(b []byte) int64 {
 	return c
 }
 
-// attachChannel gives s an NI channel (LRP architectures only).
-func (h *Host) attachChannel(s *socket.Socket) {
+// attachChannel gives s an NI channel (LRP architectures only): the one
+// in r, the record of a stream socket, or a new one when r is nil.
+func (h *Host) attachChannel(s *socket.Socket, r *connRec) {
 	if !h.Arch.IsLRP() || s.NIChan != nil {
 		return
 	}
-	ch := nic.NewChannel(h.CM.ChannelLimit)
+	var ch *nic.Channel
+	if r != nil {
+		r.chq.Limit = h.CM.ChannelLimit
+		r.ch.Queue = &r.chq
+		ch = &r.ch
+	} else {
+		ch = nic.NewChannel(h.CM.ChannelLimit)
+	}
 	ch.Owner = s
 	if s.Type == socket.Stream {
 		// TCP requires asynchronous processing; the channel always

@@ -14,12 +14,15 @@ import (
 	"lrp/internal/pkt"
 	"lrp/internal/sim"
 	"lrp/internal/socket"
+	"lrp/internal/tcp"
 )
 
 // TestConnectionChurnReleasesState churns 1000 short HTTP/1.0-style
 // connections, the server closing first, with a 10 ms TIME_WAIT. Once the
 // last TIME_WAIT expires both hosts hold exactly the sockets and processes
-// they held before the churn, and the releases leave Stats() untouched.
+// they held before the churn, every connection is closed with no timer
+// armed, none was armed after its connection closed, and the releases
+// leave Stats() untouched.
 func TestConnectionChurnReleasesState(t *testing.T) {
 	for _, arch := range []Arch{ArchBSD, ArchSoftLRP} {
 		t.Run(arch.String(), func(t *testing.T) {
@@ -33,6 +36,20 @@ func TestConnectionChurnReleasesState(t *testing.T) {
 				server.Shutdown()
 				client.Shutdown()
 			})
+			hosts := []*Host{server, client}
+			// A timer armed on a closed connection would keep its record
+			// alive and fire into it: count every such arm.
+			lateArms := 0
+			for _, h := range hosts {
+				arm := h.hooks.ArmTimer
+				h.hooks.ArmTimer = func(c *tcp.Conn, tm tcp.Timer, delay int64) {
+					if c.State == tcp.Closed {
+						lateArms++
+					}
+					arm(c, tm, delay)
+				}
+			}
+			var conns []*tcp.Conn // every connection of the churn, both ends
 
 			server.K.Spawn("httpd", 0, func(p *kernel.Proc) {
 				l := server.NewTCPSocket(p)
@@ -49,6 +66,7 @@ func TestConnectionChurnReleasesState(t *testing.T) {
 					if err != nil {
 						return
 					}
+					conns = append(conns, ConnOf(cs))
 					server.K.Spawn("handler", 0, func(p *kernel.Proc) {
 						if req, _ := server.RecvStream(p, cs, 1024); req != nil {
 							_, _ = server.SendStream(p, cs, []byte("resp"))
@@ -64,7 +82,6 @@ func TestConnectionChurnReleasesState(t *testing.T) {
 				stats Stats
 			}
 			snap := func(h *Host) snapshot { return snapshot{h.Sockets(), h.K.Procs(), h.Stats()} }
-			hosts := []*Host{server, client}
 			pre := []snapshot{snap(server), snap(client)}
 
 			const n = 1000
@@ -76,6 +93,7 @@ func TestConnectionChurnReleasesState(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					conns = append(conns, ConnOf(s))
 					_, _ = client.SendStream(p, s, []byte("req"))
 					for {
 						if data, err := client.RecvStream(p, s, 1024); err != nil || data == nil {
@@ -107,12 +125,30 @@ func TestConnectionChurnReleasesState(t *testing.T) {
 				if got := h.K.Procs(); !slices.Equal(got, pre[i].procs) {
 					t.Errorf("%s lists %d processes after the churn, want its %d from before", h.Name, len(got), len(pre[i].procs))
 				}
-				if len(h.timers) != 0 {
-					t.Errorf("%s keeps timers for %d dead connections", h.Name, len(h.timers))
-				}
 				if got, want := h.Stats().Channels, pre[i].stats.Channels; got != want {
 					t.Errorf("%s has %d NI channels after the churn, want %d", h.Name, got, want)
 				}
+			}
+			if len(conns) != 2*n {
+				t.Errorf("collected %d connections, want %d", len(conns), 2*n)
+			}
+			open, armed := 0, 0
+			for _, c := range conns {
+				if c.State != tcp.Closed {
+					open++
+				}
+				ct := c.Timers.(*connTimers)
+				for tm := tcp.Timer(0); tm < tcp.NumTimers; tm++ {
+					if ct.ev[tm].Active() {
+						armed++
+					}
+				}
+			}
+			if open != 0 || armed != 0 {
+				t.Errorf("after the churn %d connections are not closed and %d timers are armed, want none", open, armed)
+			}
+			if lateArms != 0 {
+				t.Errorf("%d timers were armed on closed connections", lateArms)
 			}
 			// Channels is a gauge and falls as TIME_WAIT connections give
 			// theirs up; nothing else may move.

@@ -57,7 +57,7 @@ func (h *Host) JoinGroup(p *kernel.Proc, s *socket.Socket, group pkt.Addr, port 
 		h.sockets = append(h.sockets, gs)
 		h.addIdleCandidate(gs)
 		h.pcbs.BindListen(pkt.ProtoUDP, group, port, gs)
-		h.attachChannel(gs) // the single shared NI channel
+		h.attachChannel(gs, nil) // the single shared NI channel
 		g = &mcastGroup{key: key, gsock: gs}
 		h.mcast[key] = g
 		h.mcastBySock[gs] = g

@@ -12,10 +12,10 @@ import (
 	"lrp/internal/tcp"
 )
 
-// NewTCPSocket creates a stream socket owned by owner.
+// NewTCPSocket creates a stream socket owned by owner. The socket lives in
+// a record that also holds the connection it will listen or connect with.
 func (h *Host) NewTCPSocket(owner *kernel.Proc) *socket.Socket {
-	s := socket.NewSocket(socket.Stream, owner)
-	s.Local = h.Addr
+	s := &h.newConnRec(owner).sock
 	h.sockets = append(h.sockets, s)
 	return s
 }

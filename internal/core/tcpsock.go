@@ -40,33 +40,45 @@ func (h *Host) initTCPHooks() {
 // armConnTimer schedules a connection timer. When it fires, processing is
 // routed to the architecture's protocol-processing context.
 func (h *Host) armConnTimer(c *tcp.Conn, t tcp.Timer, delay int64) {
-	ct := h.timers[c]
+	ct, _ := c.Timers.(*connTimers)
 	if ct == nil {
-		ct = &connTimers{}
-		h.timers[c] = ct
+		// A Conn built with tcp.NewConn rather than opened by the host.
+		ct = new(connTimers)
+		c.Timers = ct
 	}
-	if ct.expire[t] == nil {
-		// Every arm and every disarm cancels the pending expiry before it
-		// bumps gen, so a firing expiry always reads its own arm's
-		// generation.
-		ct.expire[t] = func() {
-			ct.ev[t] = sim.Event{}
-			h.dispatchTimer(c, t, ct.gen[t])
-		}
+	if ct.fire == nil {
+		ct.fire = func() { h.connTimerFired(c, ct) }
 	}
+	// Every arm and every disarm cancels the pending expiry before it
+	// bumps gen, so a firing expiry always reads its own arm's
+	// generation.
 	h.Eng.Cancel(ct.ev[t])
 	ct.gen[t]++
-	ct.ev[t] = h.Eng.After(delay, ct.expire[t])
+	ct.ev[t] = h.Eng.After(delay, ct.fire)
 }
 
 func (h *Host) disarmConnTimer(c *tcp.Conn, t tcp.Timer) {
-	ct := h.timers[c]
+	ct, _ := c.Timers.(*connTimers)
 	if ct == nil {
 		return
 	}
 	ct.gen[t]++ // invalidate any queued expiry
 	h.Eng.Cancel(ct.ev[t])
 	ct.ev[t] = sim.Event{}
+}
+
+// connTimerFired runs when the engine fires one of c's timers. That timer
+// is the one whose handle is stored but no longer pending: an arm or a
+// disarm replaces or clears the handle of the timer it cancels, and this
+// clears the handle of the one firing.
+func (h *Host) connTimerFired(c *tcp.Conn, ct *connTimers) {
+	for t := tcp.Timer(0); t < tcp.NumTimers; t++ {
+		if ev := ct.ev[t]; !ev.IsZero() && !ev.Active() {
+			ct.ev[t] = sim.Event{}
+			h.dispatchTimer(c, t, ct.gen[t])
+			return
+		}
+	}
 }
 
 // dispatchTimer routes a fired timer into protocol-processing context:
@@ -90,8 +102,11 @@ func (h *Host) timerSoftint() {
 	}
 }
 
+// timerValid reports whether a queued expiry is still current: no arm or
+// disarm of its timer, the disarms at connection close included, came
+// after it.
 func (h *Host) timerValid(c *tcp.Conn, t tcp.Timer, gen uint64) bool {
-	ct := h.timers[c]
+	ct, _ := c.Timers.(*connTimers)
 	return ct != nil && ct.gen[t] == gen
 }
 
@@ -144,34 +159,64 @@ func (h *Host) redirectToTimeWaitChannel(s *socket.Socket) {
 }
 
 // newChildConn services an incoming SYN on a listener: allocate the
-// socket, the connection, the demultiplexing entry, and (LRP) the NI
-// channel.
+// connection's record (socket, connection, timers, NI channel), and bind
+// the demultiplexing entry and (LRP) the channel.
 func (h *Host) newChildConn(l *tcp.Conn, remote pkt.Addr, rport uint16) *tcp.Conn {
 	ls := connSocket(l)
 	if ls == nil {
 		return nil
 	}
-	s := socket.NewSocket(socket.Stream, ls.Owner)
-	s.Local = h.Addr
+	r := h.newConnRec(ls.Owner)
+	s := &r.sock
 	s.LPort = l.LPort
 	s.Remote = remote
 	s.RPort = rport
 	s.Bound = true
 	h.sockets = append(h.sockets, s)
 
-	c := tcp.NewConn(&h.hooks, h.Addr, l.LPort, remote, rport, h.nextISS())
+	c := h.openConn(r, remote, rport)
 	c.SetBufSizes(l.SndBuf.Limit, l.RcvBuf.Limit)
-	c.UserData = s
-	s.Conn = c
 	h.pcbs.BindConnected(pkt.ProtoTCP, h.Addr, l.LPort, remote, rport, s)
-	h.attachChannel(s)
+	h.attachChannel(s, r)
 	return c
 }
 
+// newConnRec allocates the record of a stream socket owned by owner,
+// bound to no port yet. Until its connection opens, the socket's Conn
+// field holds the record itself (see openConn).
+func (h *Host) newConnRec(owner *kernel.Proc) *connRec {
+	r := &connRec{}
+	r.sock = socket.Socket{Type: socket.Stream, Proto: pkt.ProtoTCP, Owner: owner, Local: h.Addr}
+	r.sock.Conn = r
+	return r
+}
+
+// openConn sets up the connection in r, from its socket's local port to
+// the given peer (none for a listener), and attaches it to the socket.
+func (h *Host) openConn(r *connRec, remote pkt.Addr, rport uint16) *tcp.Conn {
+	c := &r.conn
+	c.Init(&h.hooks, h.Addr, r.sock.LPort, remote, rport, h.nextISS())
+	c.SndBuf.Free = &h.bufs
+	c.RcvBuf.Free = &h.bufs
+	c.UserData = &r.sock
+	c.Timers = &r.timers
+	r.sock.Conn = c
+	return c
+}
+
+// unopenedRec returns the record of a stream socket from NewTCPSocket
+// whose connection has not opened yet, or nil.
+func unopenedRec(s *socket.Socket) *connRec {
+	r, _ := s.Conn.(*connRec)
+	return r
+}
+
 // deallocConn tears down host state when a connection dies, and releases
-// its socket: the connection's death is the socket's final close.
+// its socket: the connection's death is the socket's final close. The
+// stream buffers hand their storage to the host's free list.
 func (h *Host) deallocConn(c *tcp.Conn) {
-	delete(h.timers, c)
+	c.SndBuf.Release()
+	c.RcvBuf.Release()
 	s := connSocket(c)
 	if s == nil {
 		return

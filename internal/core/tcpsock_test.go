@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"lrp/internal/kernel"
 	"lrp/internal/netsim"
 	"lrp/internal/race"
 	"lrp/internal/sim"
+	"lrp/internal/socket"
 	"lrp/internal/tcp"
 )
 
@@ -69,4 +72,66 @@ func TestConnTimerExpiryAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOpenTwiceFails: Listen and ConnectTCP open a connection only in a
+// stream socket from NewTCPSocket that has none yet. Listening twice,
+// connecting twice, connecting an accepted socket and listening on a
+// socket made by socket.NewSocket each fail with ErrConnOpen, and the
+// connections already open keep working.
+func TestOpenTwiceFails(t *testing.T) {
+	forEachArch(t, func(t *testing.T, r *rig) {
+		l := r.server.NewTCPSocket(nil)
+		if err := r.server.BindTCP(l, 80); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.server.Listen(nil, l, 5); err != nil {
+			t.Fatal(err)
+		}
+		lc := ConnOf(l)
+		if err := r.server.Listen(nil, l, 5); !errors.Is(err, ErrConnOpen) {
+			t.Errorf("a second Listen returned %v, want ErrConnOpen", err)
+		}
+		if ConnOf(l) != lc {
+			t.Error("a second Listen replaced the listener's connection")
+		}
+		if err := r.server.Listen(nil, socket.NewSocket(socket.Stream, nil), 5); !errors.Is(err, ErrConnOpen) {
+			t.Errorf("Listen on a socket from socket.NewSocket returned %v, want ErrConnOpen", err)
+		}
+
+		var acceptedErr, secondErr error
+		served, fetched := false, false
+		r.server.K.Spawn("srv", 0, func(p *kernel.Proc) {
+			cs, err := r.server.Accept(p, l)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			acceptedErr = r.server.ConnectTCP(p, cs, addrA, 9)
+			_, err = r.server.SendStream(p, cs, []byte("resp"))
+			served = err == nil
+			r.server.CloseTCP(p, cs)
+		})
+		r.client.K.Spawn("cli", 0, func(p *kernel.Proc) {
+			s := r.client.NewTCPSocket(p)
+			if err := r.client.ConnectTCP(p, s, addrB, 80); err != nil {
+				t.Error(err)
+				return
+			}
+			secondErr = r.client.ConnectTCP(p, s, addrB, 80)
+			data, err := r.client.RecvStream(p, s, 100)
+			fetched = err == nil && string(data) == "resp"
+			r.client.CloseTCP(p, s)
+		})
+		r.eng.RunFor(sim.Second)
+		if !errors.Is(acceptedErr, ErrConnOpen) {
+			t.Errorf("ConnectTCP on an accepted socket returned %v, want ErrConnOpen", acceptedErr)
+		}
+		if !errors.Is(secondErr, ErrConnOpen) {
+			t.Errorf("a second ConnectTCP returned %v, want ErrConnOpen", secondErr)
+		}
+		if !served || !fetched {
+			t.Errorf("the exchange after the failed opens: served %v, fetched %v", served, fetched)
+		}
+	})
 }

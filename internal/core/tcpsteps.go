@@ -22,7 +22,10 @@ type ListenOp struct {
 
 // ListenStep puts s into the listening state with the given backlog,
 // binding the wildcard demux entry and (LRP) the listen channel. p may be
-// nil (setup code outside process context); a nil p never yields.
+// nil (setup code outside process context); a nil p never yields. s must
+// come from NewTCPSocket and have no connection yet: a socket already
+// listening or connected, an accepted one, or one made by
+// socket.NewSocket fails with ErrConnOpen.
 func (h *Host) ListenStep(p *kernel.Proc, s *socket.Socket, backlog int, fr *ListenOp) bool {
 	for {
 		switch fr.pc {
@@ -38,15 +41,17 @@ func (h *Host) ListenStep(p *kernel.Proc, s *socket.Socket, backlog int, fr *Lis
 				return false
 			}
 		case 1:
-			c := tcp.NewConn(&h.hooks, h.Addr, s.LPort, pkt.Addr{}, 0, h.nextISS())
-			c.UserData = s
-			c.ListenOn(backlog)
-			s.Conn = c
+			r := unopenedRec(s)
+			if r == nil {
+				fr.Err = ErrConnOpen
+				return true
+			}
+			h.openConn(r, pkt.Addr{}, 0).ListenOn(backlog)
 			s.Listening = true
 			s.Backlog = backlog
 			h.pcbs.BindListen(pkt.ProtoTCP, pkt.Addr{}, s.LPort, s)
 			h.registerFilter(s, demux.CompileTCPPortFilter(s.LPort))
-			h.attachChannel(s)
+			h.attachChannel(s, r)
 			return true
 		}
 	}
@@ -109,7 +114,9 @@ const (
 )
 
 // ConnectTCPStep performs an active open, completing when the connection
-// is established or has failed.
+// is established or has failed. As for ListenStep, s must come from
+// NewTCPSocket and have no connection yet, or the call fails with
+// ErrConnOpen.
 func (h *Host) ConnectTCPStep(p *kernel.Proc, s *socket.Socket, raddr pkt.Addr, rport uint16, fr *ConnectTCPOp) bool {
 	for {
 		switch fr.pc {
@@ -125,13 +132,16 @@ func (h *Host) ConnectTCPStep(p *kernel.Proc, s *socket.Socket, raddr pkt.Addr, 
 				return false
 			}
 		case connOpen:
+			r := unopenedRec(s)
+			if r == nil {
+				fr.Err = ErrConnOpen
+				return true
+			}
 			s.Remote = raddr
 			s.RPort = rport
-			c := tcp.NewConn(&h.hooks, h.Addr, s.LPort, raddr, rport, h.nextISS())
-			c.UserData = s
-			s.Conn = c
+			c := h.openConn(r, raddr, rport)
 			h.pcbs.BindConnected(pkt.ProtoTCP, h.Addr, s.LPort, raddr, rport, s)
-			h.attachChannel(s)
+			h.attachChannel(s, r)
 			c.Connect()
 			fr.c = c
 			fr.pc = connWait
@@ -216,6 +226,11 @@ func (h *Host) SendStreamStep(p *kernel.Proc, s *socket.Socket, fr *SendStreamOp
 
 // RecvStreamOp is the frame of one stream read (RecvStreamStep).
 type RecvStreamOp struct {
+	// Buf, when set, receives the bytes read: Data is then Buf[:n], and
+	// the read allocates nothing. A read moves at most max bytes, so Buf
+	// should be at least max long. Without Buf, Data is a new slice.
+	Buf []byte
+
 	pc int
 	c  *tcp.Conn
 
@@ -248,7 +263,14 @@ func (h *Host) RecvStreamStep(p *kernel.Proc, s *socket.Socket, max int, fr *Rec
 			}
 			n, fin := fr.c.Readable()
 			if n > 0 {
-				fr.Data = fr.c.Read(max)
+				if b := fr.Buf; b != nil {
+					if len(b) > max {
+						b = b[:max]
+					}
+					fr.Data = b[:fr.c.ReadInto(b)]
+				} else {
+					fr.Data = fr.c.Read(max)
+				}
 				fr.pc = 2
 				if p.ReqComputeSys(h.CM.CopyCost(len(fr.Data))) {
 					return false

@@ -27,6 +27,7 @@ var (
 	ErrConnTimedOut = errors.New("core: connection timed out")
 	ErrConnReset    = errors.New("core: connection reset")
 	ErrNotListening = errors.New("core: socket not listening")
+	ErrConnOpen     = errors.New("core: socket already listening or connected, or not made by NewTCPSocket")
 )
 
 // NewUDPSocket creates a datagram socket owned by owner.
@@ -55,7 +56,7 @@ func (h *Host) BindUDP(s *socket.Socket, port uint16) error {
 	s.Bound = true
 	h.pcbs.BindListen(pkt.ProtoUDP, pkt.Addr{}, port, s)
 	h.registerFilter(s, demux.CompileUDPPortFilter(port))
-	h.attachChannel(s)
+	h.attachChannel(s, nil)
 	return nil
 }
 

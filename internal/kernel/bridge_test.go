@@ -8,11 +8,34 @@ import (
 	"lrp/internal/sim"
 )
 
-// goroutinesSettle waits for unwound goroutines to finish returning and
-// reports whether the count is back to base.
+// bridgeGoroutines counts the goroutines running a Spawn body: those with
+// bridge.run on their stack. A process-wide count is no baseline, since
+// tests elsewhere in the binary, and the runtime, start and stop
+// goroutines of their own.
+func bridgeGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "lrp/internal/kernel.(*bridge).run(") {
+			count++
+		}
+	}
+	return count
+}
+
+// goroutinesSettle waits for unwound bridge goroutines to finish
+// returning and reports whether their count is back to base.
 func goroutinesSettle(base int) bool {
 	for i := 0; i < 10000; i++ {
-		if runtime.NumGoroutine() <= base {
+		if bridgeGoroutines() <= base {
 			return true
 		}
 		runtime.Gosched()
@@ -26,7 +49,7 @@ func goroutinesSettle(base int) bool {
 // three spellings of a normal exit.
 func TestSpawnBridgeLifecycle(t *testing.T) {
 	t.Run("shutdown", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := bridgeGoroutines()
 		eng := sim.NewEngine()
 		k := New(eng, "test")
 		var wq WaitQ
@@ -45,7 +68,7 @@ func TestSpawnBridgeLifecycle(t *testing.T) {
 			}
 		}
 		if !goroutinesSettle(base) {
-			t.Errorf("%d goroutines after shutdown, baseline %d", runtime.NumGoroutine(), base)
+			t.Errorf("%d bridge goroutines after shutdown, baseline %d", bridgeGoroutines(), base)
 		}
 	})
 
@@ -66,7 +89,7 @@ func TestSpawnBridgeLifecycle(t *testing.T) {
 	})
 
 	t.Run("exit", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := bridgeGoroutines()
 		eng, k := newTestKernel(t)
 		bodies := map[string]func(*Proc){
 			"exit":   func(p *Proc) { p.Compute(100); p.Exit() },
@@ -85,7 +108,7 @@ func TestSpawnBridgeLifecycle(t *testing.T) {
 			}
 		}
 		if !goroutinesSettle(base) {
-			t.Errorf("%d goroutines after every body exited, baseline %d", runtime.NumGoroutine(), base)
+			t.Errorf("%d bridge goroutines after every body exited, baseline %d", bridgeGoroutines(), base)
 		}
 	})
 }

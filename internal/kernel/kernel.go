@@ -303,25 +303,15 @@ func (k *Kernel) PostSW(item WorkItem) {
 // SWPending returns the number of queued software-interrupt work items.
 func (k *Kernel) SWPending() int { return k.swQ.Len() }
 
-// newProc allocates and registers a process shell: runnable state,
-// cached timeout callback, process list membership. The caller attaches
-// a body and makes it runnable.
+// newProc allocates and registers a process shell: runnable state and
+// process list membership. The caller attaches a body and makes it
+// runnable.
 func (k *Kernel) newProc(name string, nice int) *Proc {
 	p := &Proc{
 		K:     k,
 		Name:  name,
 		Nice:  nice,
 		state: stateRunnable,
-	}
-	p.timeoutFn = func() {
-		// A sleep timeout is a timer interrupt on the CPU that armed it:
-		// home-CPU context, so the wakeup below is always local.
-		p.K.enter()
-		p.timeoutEv = sim.Event{}
-		if p.state == stateSleeping {
-			p.timedOut = true
-			p.wakeup()
-		}
 	}
 	p.recomputePrio()
 	k.addProc(p)
@@ -693,6 +683,9 @@ func (k *Kernel) applyRequest(p *Proc) {
 		p.reqWq = nil
 		p.timedOut = false
 		if p.reqTimeout > 0 {
+			if p.timeoutFn == nil {
+				p.bindTimeout()
+			}
 			p.timeoutEv = k.Eng.After(p.reqTimeout, p.timeoutFn)
 		}
 	case reqExit:

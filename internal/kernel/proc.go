@@ -104,7 +104,7 @@ type Proc struct {
 	wq        *WaitQ
 	timedOut  bool
 	timeoutEv sim.Event
-	timeoutFn func() // cached sleep-timeout callback, allocated once at Spawn
+	timeoutFn func() // cached sleep-timeout callback, bound on the first timed sleep
 
 	pendingWork   int64
 	pendingSys    bool
@@ -271,6 +271,24 @@ func (p *Proc) pendingTarget() *Proc {
 		return p.chargeTo
 	}
 	return p
+}
+
+// bindTimeout builds the sleep-timeout callback on p's first timed sleep;
+// every later one reuses it. Most processes, a connection handler among
+// them, never sleep with a timeout.
+//
+//lrp:coldalloc amortized: bound once per process, on its first timed sleep, and reused by every later one
+func (p *Proc) bindTimeout() {
+	p.timeoutFn = func() {
+		// A sleep timeout is a timer interrupt on the CPU that armed it:
+		// home-CPU context, so the wakeup below is always local.
+		p.K.enter()
+		p.timeoutEv = sim.Event{}
+		if p.state == stateSleeping {
+			p.timedOut = true
+			p.wakeup()
+		}
+	}
 }
 
 // wakeup moves a sleeping process back to the run queue. Engine context.

@@ -313,42 +313,45 @@ func DecodeTCP(b []byte, src, dst Addr) (TCPHeader, int, error) {
 // Checksum computes the 16-bit one's-complement Internet checksum of b.
 // A buffer containing a correct embedded checksum sums to zero.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
+	return fold(sum(0, b))
 }
 
 // pseudoChecksum computes the transport checksum including the IPv4 pseudo
 // header (src, dst, zero, proto, length).
 func pseudoChecksum(src, dst Addr, proto byte, seg []byte) uint16 {
-	var ph [12]byte
-	copy(ph[0:4], src[:])
-	copy(ph[4:8], dst[:])
-	ph[9] = proto
-	binary.BigEndian.PutUint16(ph[10:], uint16(len(seg)))
-	var sum uint32
-	for i := 0; i < 12; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(ph[i:]))
+	ph := uint64(binary.BigEndian.Uint32(src[:])) + uint64(binary.BigEndian.Uint32(dst[:])) +
+		uint64(proto) + uint64(uint16(len(seg)))
+	return fold(sum(ph, seg))
+}
+
+// sum adds b to the accumulator acc, eight bytes per step, and the tail
+// one 16-bit word at a time (RFC 1071). A step adds its word's two 32-bit
+// halves, so the carries pile up in the high bits instead of wrapping,
+// for any buffer under 16 GB. The 16-bit sum is the folded accumulator:
+// 2^16 is 1 modulo 0xffff, so a wider word counts as the sum of its
+// 16-bit halves.
+func sum(acc uint64, b []byte) uint64 {
+	for len(b) >= 8 {
+		w := binary.BigEndian.Uint64(b)
+		acc += w>>32 + w&0xffffffff
+		b = b[8:]
 	}
-	b := seg
 	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+		acc += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		acc += uint64(b[0]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+	return acc
+}
+
+// fold reduces a one's-complement accumulator to 16 bits and complements
+// it. The accumulator is zero only when every word summed was zero, which
+// then folds to 0xffff, as a word-by-word sum does.
+func fold(acc uint64) uint16 {
+	for acc>>16 != 0 {
+		acc = acc>>16 + acc&0xffff
 	}
-	return ^uint16(sum)
+	return ^uint16(acc)
 }

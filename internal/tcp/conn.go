@@ -106,8 +106,9 @@ type Hooks struct {
 	// Now returns the current time in µs.
 	Now func() int64
 	// Output transmits a fully encoded IP packet. b is built in a scratch
-	// buffer the connection reuses for its next segment: it is valid only
-	// until Output returns, so the host must copy (or fully consume) it.
+	// buffer shared by every connection using these Hooks and reused for
+	// the next segment any of them sends: it is valid only until Output
+	// returns, so the host must copy (or fully consume) it first.
 	Output func(c *Conn, b []byte)
 	// ArmTimer (re)schedules a timer to fire after delay µs; DisarmTimer
 	// cancels it. The host must call TimerExpire in an appropriate
@@ -128,6 +129,10 @@ type Hooks struct {
 	TimeWaitDur int64
 	// MaxSynRetries bounds SYN/SYN-ACK retransmissions.
 	MaxSynRetries int
+
+	// tx is the scratch every segment is built in (see Output); its zero
+	// value grows on the first segment.
+	tx []byte
 }
 
 // Stats counts per-connection protocol events.
@@ -175,13 +180,17 @@ type Conn struct {
 
 	// UserData points back at the owning socket; opaque to this package.
 	UserData any
+	// Timers is the host's bookkeeping for this connection's timers,
+	// opaque to this package: kept on the Conn, it lets ArmTimer and
+	// DisarmTimer reach it without a lookup.
+	Timers any
 
 	// Send state.
 	iss       uint32
 	sndUna    uint32
 	sndNxt    uint32
 	sndWnd    uint32
-	SndBuf    *socket.StreamBuf
+	SndBuf    socket.StreamBuf
 	finQueued bool
 	finSent   bool
 	cwnd      int
@@ -195,7 +204,7 @@ type Conn struct {
 
 	// Receive state.
 	rcvNxt      uint32
-	RcvBuf      *socket.StreamBuf
+	RcvBuf      socket.StreamBuf
 	lastAdvWnd  uint32
 	ooo         []oooSeg
 	peerFinRcvd bool
@@ -221,30 +230,28 @@ type Conn struct {
 
 	ipID uint16
 
-	// txScratch is reused for every outgoing segment build (see
-	// Hooks.Output for the resulting lifetime contract).
-	txScratch []byte
-
 	Stats Stats
 }
 
 // NewConn creates a connection object in the Closed state.
 func NewConn(h *Hooks, local pkt.Addr, lport uint16, remote pkt.Addr, rport uint16, iss uint32) *Conn {
-	return &Conn{
-		H:        h,
-		Local:    local,
-		LPort:    lport,
-		Remote:   remote,
-		RPort:    rport,
-		iss:      iss,
-		sndUna:   iss,
-		sndNxt:   iss,
-		SndBuf:   socket.NewStreamBuf(DefaultBuf),
-		RcvBuf:   socket.NewStreamBuf(DefaultBuf),
-		MSS:      DefaultMSS,
-		cwnd:     DefaultMSS,
-		ssthresh: 64 * 1024,
-	}
+	c := new(Conn)
+	c.Init(h, local, lport, remote, rport, iss)
+	return c
+}
+
+// Init sets up c in place as NewConn's result, for a host that keeps the
+// Conn inside a larger record. c must be the zero Conn.
+func (c *Conn) Init(h *Hooks, local pkt.Addr, lport uint16, remote pkt.Addr, rport uint16, iss uint32) {
+	c.H = h
+	c.Local, c.LPort = local, lport
+	c.Remote, c.RPort = remote, rport
+	c.iss, c.sndUna, c.sndNxt = iss, iss, iss
+	c.SndBuf.Limit = DefaultBuf
+	c.RcvBuf.Limit = DefaultBuf
+	c.MSS = DefaultMSS
+	c.cwnd = DefaultMSS
+	c.ssthresh = 64 * 1024
 }
 
 // SetBufSizes resizes the socket buffers (must be called before data
@@ -311,16 +318,28 @@ func (c *Conn) Readable() (int, bool) {
 	return c.RcvBuf.Len(), c.peerFinRcvd
 }
 
-// Read removes up to n bytes from the receive buffer, sending a window
-// update if the window had collapsed.
+// Read removes up to n bytes from the receive buffer into a new slice,
+// sending a window update if the window had collapsed.
 func (c *Conn) Read(n int) []byte {
+	if l := c.RcvBuf.Len(); n > l {
+		n = l
+	}
+	out := make([]byte, n)
+	c.ReadInto(out)
+	return out
+}
+
+// ReadInto moves up to len(p) bytes from the receive buffer into p and
+// returns the number moved, sending a window update if the window had
+// collapsed.
+func (c *Conn) ReadInto(p []byte) int {
 	wasSmall := c.windowSmall()
-	out := c.RcvBuf.Read(n)
-	if len(out) > 0 && wasSmall && !c.windowSmall() {
+	n := c.RcvBuf.ReadInto(p)
+	if n > 0 && wasSmall && !c.windowSmall() {
 		// Window opened meaningfully: tell the peer.
 		c.sendAck()
 	}
-	return out
+	return n
 }
 
 // windowSmall reports whether the advertisable window is below the
@@ -377,9 +396,8 @@ func (c *Conn) Abort() {
 	c.toClosed()
 }
 
-// toClosed finalizes teardown.
-//
-//lrp:coldalloc runs once per connection lifetime, never per segment
+// toClosed finalizes teardown. Every timer is disarmed, the delayed ACK
+// included: a dead connection sends nothing more.
 func (c *Conn) toClosed() {
 	if c.State == Closed && !c.listening {
 		return
@@ -387,9 +405,10 @@ func (c *Conn) toClosed() {
 	prev := c.State
 	c.State = Closed
 	c.listening = false
-	for _, t := range []Timer{TimerRexmt, TimerPersist, TimerTimeWait} {
+	for t := Timer(0); t < NumTimers; t++ {
 		c.H.DisarmTimer(c, t)
 	}
+	c.delackPending = false
 	if c.parent != nil {
 		// Dying embryonic connection: release the backlog slot.
 		c.parent.synCount--
@@ -434,11 +453,11 @@ func (c *Conn) sendFlags(flags byte, seq uint32, payload []byte, withMSS bool) {
 		h.MSS = uint16(c.MSS)
 	}
 	c.ipID++
-	c.txScratch = pkt.AppendTCP(c.txScratch[:0], c.Local, c.Remote, &h, c.ipID, 64, payload)
+	c.H.tx = pkt.AppendTCP(c.H.tx[:0], c.Local, c.Remote, &h, c.ipID, 64, payload)
 	c.Stats.SegsOut++
 	c.Stats.BytesOut += uint64(len(payload))
 	c.lastAdvWnd = uint32(h.Window)
-	c.H.Output(c, c.txScratch)
+	c.H.Output(c, c.H.tx)
 }
 
 // sendAck emits a bare ACK advertising the current window and clears any
@@ -488,7 +507,7 @@ func (c *Conn) sendRST(seq uint32) {
 		Flags: pkt.TCPRst | pkt.TCPAck,
 	}
 	c.ipID++
-	c.txScratch = pkt.AppendTCP(c.txScratch[:0], c.Local, c.Remote, &h, c.ipID, 64, nil)
+	c.H.tx = pkt.AppendTCP(c.H.tx[:0], c.Local, c.Remote, &h, c.ipID, 64, nil)
 	c.Stats.SegsOut++
-	c.H.Output(c, c.txScratch)
+	c.H.Output(c, c.H.tx)
 }

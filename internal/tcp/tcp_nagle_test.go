@@ -137,3 +137,35 @@ func TestNagleFlushesWhenFlightDrains(t *testing.T) {
 		t.Fatalf("held data never flushed: %d bytes total", sv.RcvBuf.Base)
 	}
 }
+
+// TestResetStopsDelayedAck resets a connection while its delayed ACK is
+// pending: once closed it holds no armed timer and sends nothing.
+func TestResetStopsDelayedAck(t *testing.T) {
+	n := newTestNet(t)
+	cl, sv := dial(t, n)
+	cl.Write([]byte("lone"))
+	n.eng.RunFor(10 * 1000) // < 100ms delack
+	if !sv.delackPending {
+		t.Fatal("no delayed ACK pending")
+	}
+	cl.Abort()
+	n.eng.RunFor(10 * 1000)
+	if sv.State != Closed {
+		t.Fatalf("server state %v after RST", sv.State)
+	}
+	sent := 0
+	output := n.hooks.Output
+	n.hooks.Output = func(c *Conn, b []byte) {
+		if c == sv {
+			sent++
+		}
+		output(c, b)
+	}
+	if armed := len(n.timers[sv]); armed != 0 {
+		t.Errorf("the closed connection holds %d armed timers", armed)
+	}
+	n.eng.RunFor(sim.Second)
+	if sent != 0 {
+		t.Errorf("the closed connection sent %d segments", sent)
+	}
+}
