@@ -26,9 +26,9 @@ func TestHTTPTransactionAllocs(t *testing.T) {
 		arch        core.Arch
 		objs, bytes float64 // per transaction
 	}{
-		{core.ArchBSD, 16, 3000},
-		{core.ArchSoftLRP, 19, 3300},
-		{core.ArchNILRP, 19, 3300},
+		{core.ArchBSD, 10, 3000},
+		{core.ArchSoftLRP, 12, 3300},
+		{core.ArchNILRP, 12, 3300},
 	} {
 		t.Run(tc.arch.String(), func(t *testing.T) {
 			cm := core.DefaultCosts()

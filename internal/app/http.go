@@ -2,7 +2,6 @@ package app
 
 import (
 	"bytes"
-	"fmt"
 
 	"lrp/internal/core"
 	"lrp/internal/kernel"
@@ -53,7 +52,6 @@ func (s *HTTPServer) Start() {
 	var (
 		pc  int
 		l   *socket.Socket
-		n   int
 		lis core.ListenOp
 		acc core.AcceptOp
 	)
@@ -85,10 +83,8 @@ func (s *HTTPServer) Start() {
 				}
 				cs := acc.NS
 				acc = core.AcceptOp{}
-				n++
-				name := fmt.Sprintf("httpd-%d", n)
 				hd := &httpHandler{s: s, cs: cs, rs: core.RecvStreamOp{Buf: s.rbuf}}
-				s.Host.K.SpawnStep(name, 0, hd.step)
+				s.Host.K.SpawnStep("httpd-handler", 0, hd.step)
 			}
 		}
 	})

@@ -11,6 +11,7 @@ import (
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
 	"lrp/internal/sim"
+	"lrp/internal/socket"
 )
 
 var groupAddr = pkt.IP(224, 1, 2, 3)
@@ -92,6 +93,43 @@ func TestMulticastRequiresClassD(t *testing.T) {
 		}
 	})
 	r.eng.RunFor(10 * sim.Millisecond)
+}
+
+// TestMulticastTimedReceive pins that a deadline-bounded receive on a
+// group member processes the group's shared channel. With the idle
+// thread off, an LRP member's datagram stays raw on that channel until a
+// receive processes it.
+func TestMulticastTimedReceive(t *testing.T) {
+	for _, arch := range everyArch {
+		t.Run(arch.String(), func(t *testing.T) {
+			eng := sim.NewEngine()
+			nw := netsim.New(eng)
+			h := NewHost(eng, nw, Config{Name: "server", Addr: addrB, Arch: arch, NoIdleThread: true})
+			defer h.Shutdown()
+			var (
+				got string
+				ok  bool
+			)
+			h.K.Spawn("member", 0, func(p *kernel.Proc) {
+				s := h.NewUDPSocket(p)
+				if err := h.JoinGroup(p, s, groupAddr, 5353); err != nil {
+					t.Error(err)
+					return
+				}
+				var d socket.Datagram
+				d, ok, _ = h.RecvFromTimeout(p, s, 50*sim.Millisecond)
+				got = string(d.Data)
+				d.Release()
+			})
+			eng.At(sim.Millisecond, func() {
+				nw.Inject(pkt.UDPPacket(addrA, groupAddr, 9, 5353, 1, 64, []byte("announce"), true))
+			})
+			eng.RunFor(100 * sim.Millisecond)
+			if !ok || got != "announce" {
+				t.Fatalf("timed receive returned ok=%v data=%q, want the datagram", ok, got)
+			}
+		})
+	}
 }
 
 func TestForwardingDaemon(t *testing.T) {

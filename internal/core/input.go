@@ -273,14 +273,10 @@ func (h *Host) sockEnqueue(s *socket.Socket, d socket.Datagram) {
 	if !s.RecvDgrams.Enqueue(d) {
 		h.stats.SockQDrops++
 		d.Release()
-		if h.Trace != nil {
-			h.Trace.Add(trace.KindDrop, "%s: socket queue overflow port %d", h.Name, s.LPort) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-		}
+		h.Trace.Add(trace.Record{Kind: trace.KindDrop, Node: h.Name, What: "socket queue overflow", Port: s.LPort})
 		return
 	}
-	if h.Trace != nil {
-		h.Trace.Add(trace.KindDeliver, "%s: udp %d bytes -> port %d", h.Name, len(d.Data), s.LPort) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-	}
+	h.Trace.Add(trace.Record{Kind: trace.KindDeliver, Node: h.Name, N: len(d.Data), Port: s.LPort})
 	s.Stats.RxDelivered++
 	s.Stats.RxBytes += uint64(len(d.Data))
 	s.RcvWait.WakeupAll()

@@ -117,22 +117,16 @@ func (h *Host) demuxDeliverOn(ci int, m *mbuf.Mbuf) {
 		}
 		return
 	}
-	if h.Trace != nil {
-		h.Trace.Add(trace.KindDemux, "%s: verdict=%v", h.Name, v) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-	}
+	h.Trace.Add(trace.Record{Kind: trace.KindDemux, Node: h.Name, What: v.String()})
 	switch v {
 	case demux.Malformed:
 		h.stats.MalformedDrops++
-		if h.Trace != nil {
-			h.Trace.Add(trace.KindDrop, "%s: malformed", h.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-		}
+		h.Trace.Add(trace.Record{Kind: trace.KindDrop, Node: h.Name, What: "malformed"})
 		m.Free()
 		return
 	case demux.NoMatch:
 		h.stats.NoMatchDrops++
-		if h.Trace != nil {
-			h.Trace.Add(trace.KindDrop, "%s: no endpoint", h.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-		}
+		h.Trace.Add(trace.Record{Kind: trace.KindDrop, Node: h.Name, What: "no endpoint"})
 		m.Free()
 		return
 	case demux.FragMiss:
@@ -163,9 +157,7 @@ func (h *Host) demuxDeliverOn(ci int, m *mbuf.Mbuf) {
 	}
 	wasEmpty, ok := ch.Deliver(m)
 	if !ok {
-		if h.Trace != nil {
-			h.Trace.Add(trace.KindDrop, "%s: early discard at channel port %d", h.Name, sock.LPort) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-		}
+		h.Trace.Add(trace.Record{Kind: trace.KindDrop, Node: h.Name, What: "early discard at channel", Port: sock.LPort})
 		return // early discard (counted on the channel)
 	}
 	if wasEmpty && ch.IntrRequested {

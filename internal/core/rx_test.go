@@ -68,33 +68,51 @@ func TestSpuriousInterruptCharged(t *testing.T) {
 // demux or PCB-lookup drop. The delivered case binds a socket whose step
 // reader releases each datagram, so the socket queue, the channel signal
 // and the input machine's mbuf hand-off are measured too: a missing
-// EndTransfer shows up as an allocation, a double one as a panic.
+// EndTransfer shows up as an allocation, a double one as a panic. The
+// traced case is the delivered one with the host's trace log on and small
+// enough to wrap, so recording the dispatch, demux and delivery records
+// is measured too.
 func TestRawRxAllocs(t *testing.T) {
 	for _, arch := range everyArch {
 		t.Run(arch.String(), func(t *testing.T) {
 			if arch != ArchNILRP {
 				for _, queues := range []int{1, 2} {
 					t.Run(fmt.Sprintf("queues=%d", queues), func(t *testing.T) {
-						rxAllocs(t, arch, queues, false)
+						rxAllocs(t, arch, queues, rxDropped)
 					})
 				}
 			}
 			t.Run("delivered", func(t *testing.T) {
-				rxAllocs(t, arch, 1, true)
+				rxAllocs(t, arch, 1, rxDelivered)
+			})
+			t.Run("traced", func(t *testing.T) {
+				rxAllocs(t, arch, 1, rxTraced)
 			})
 		})
 	}
 }
 
+// rxCase is what rxAllocs measures.
+type rxCase int
+
+const (
+	rxDropped   rxCase = iota // no reader: each packet ends at a drop
+	rxDelivered               // a bound reader releases each datagram
+	rxTraced                  // rxDelivered with the host's trace log on
+)
+
 // rxAllocs measures the allocations per packet received by a host of arch
-// with the given receive queue count, delivered to a bound reader or
-// dropped for want of one.
-func rxAllocs(t *testing.T, arch Arch, queues int, deliver bool) {
+// with the given receive queue count.
+func rxAllocs(t *testing.T, arch Arch, queues int, c rxCase) {
 	eng := sim.NewEngine()
 	nw := netsim.New(eng)
 	h := NewHost(eng, nw, Config{Name: "server", Addr: addrB, Arch: arch, RxQueues: queues})
 	defer h.Shutdown()
+	if c == rxTraced {
+		h.EnableTrace(16)
+	}
 	var got int
+	deliver := c != rxDropped
 	if deliver {
 		var (
 			s  *socket.Socket
@@ -132,6 +150,9 @@ func rxAllocs(t *testing.T, arch Arch, queues int, deliver bool) {
 	}
 	if got != want {
 		t.Errorf("reader got %d datagrams, want %d", got, want)
+	}
+	if c == rxTraced && h.Trace.Overwritten() == 0 {
+		t.Errorf("%d records traced, want the ring of 16 to wrap", h.Trace.Len())
 	}
 }
 

@@ -118,7 +118,8 @@ type RecvFromOp struct {
 
 	pc       int
 	deadline sim.Time
-	g        *mcastGroup
+	g        *mcastGroup    // the group when the socket is a multicast member
+	raw      *socket.Socket // whose NI channel holds the raw packets: the socket or g's
 	m        *mbuf.Mbuf
 	in       inputOp
 
@@ -138,18 +139,18 @@ func (fr *RecvFromOp) Reset() {
 // RecvFrom machine states.
 const (
 	recvStart     = iota // record the deadline, charge the syscall entry
-	recvDispatch         // route to the unicast or multicast loop
-	recvLoop             // unicast: poll queues or sleep
-	recvLazy             // unicast: lazy protocol processing of one raw packet
-	recvTimedWake        // unicast: woke from a timed sleep
-	recvMcastLoop        // multicast: poll queues or sleep
-	recvMcastLazy        // multicast: lazy processing and fan-out on the shared channel
+	recvDispatch         // look up the socket's multicast group
+	recvLoop             // poll queues or sleep
+	recvLazy             // lazy protocol processing of one raw packet
+	recvTimedWake        // woke from a timed sleep
 	recvDone             // final copy-out charge issued
 )
 
 // RecvFromStep advances one UDP receive. Under LRP, protocol processing
 // for queued raw packets happens here — "in the context of the user
-// process performing the system call".
+// process performing the system call". A multicast member's raw packets
+// wait on its group socket's shared channel; processing one fans the
+// datagram out to every member's queue, this socket's included.
 func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bool {
 	for {
 		switch fr.pc {
@@ -162,12 +163,9 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 				return false
 			}
 		case recvDispatch:
-			if !fr.Timed {
-				if g := h.mcastMember[s]; g != nil {
-					fr.g = g
-					fr.pc = recvMcastLoop
-					continue
-				}
+			fr.raw = s
+			if fr.g = h.mcastMember[s]; fr.g != nil {
+				fr.raw = fr.g.gsock
 			}
 			fr.pc = recvLoop
 		case recvLoop:
@@ -187,14 +185,17 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 				continue
 			}
 			// LRP lazy path: raw packets on the NI channel.
-			if s.NIChan != nil {
-				if m := s.NIChan.Queue.Dequeue(); m != nil {
+			if ch := fr.raw.NIChan; ch != nil {
+				if m := ch.Queue.Dequeue(); m != nil {
 					fr.m = m
-					fr.in = inputOp{recv: true}
+					fr.in = inputOp{recv: fr.g == nil}
 					fr.pc = recvLazy
 					continue
 				}
-				s.NIChan.IntrRequested = true
+				if fr.g != nil {
+					fr.g.gsock.Owner = fr.g.bestOwner()
+				}
+				ch.IntrRequested = true
 			}
 			if fr.Timed {
 				remain := fr.deadline - h.Eng.Now()
@@ -213,12 +214,14 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 			}
 			fr.pc = recvLoop
 		case recvLazy:
-			if !h.inputStep(p, p, s, fr.m, &fr.in) {
+			if !h.inputStep(p, p, fr.raw, fr.m, &fr.in) {
 				return false
 			}
 			fr.m = nil
 			if !fr.in.ok {
-				fr.pc = recvLoop // bad packet; keep trying
+				// A bad packet, or a group datagram fanned out to every
+				// member's queue, this socket's included: look again.
+				fr.pc = recvLoop
 				continue
 			}
 			fr.D = fr.in.d
@@ -227,41 +230,6 @@ func (h *Host) RecvFromStep(p *kernel.Proc, s *socket.Socket, fr *RecvFromOp) bo
 			if p.ReqComputeSys(h.CM.CopyCost(len(fr.D.Data))) {
 				return false
 			}
-		case recvMcastLoop:
-			// Member-socket receive: drain the member queue, else lazily
-			// process the group's shared channel and fan out.
-			if s.Closed {
-				fr.Err = ErrClosed
-				return true
-			}
-			if d, ok := s.RecvDgrams.Dequeue(); ok {
-				fr.D = d
-				fr.OK = true
-				fr.pc = recvDone
-				if p.ReqComputeSys(h.CM.SockQueueCost + h.CM.CopyCost(len(d.Data))) {
-					return false
-				}
-				continue
-			}
-			if ch := fr.g.gsock.NIChan; ch != nil {
-				if m := ch.Queue.Dequeue(); m != nil {
-					fr.m = m
-					fr.in = inputOp{}
-					fr.pc = recvMcastLazy
-					continue
-				}
-				fr.g.gsock.Owner = fr.g.bestOwner()
-				ch.IntrRequested = true
-			}
-			p.ReqSleep(&s.RcvWait)
-			return false
-		case recvMcastLazy:
-			// The group socket's datagram fans out to every member.
-			if !h.inputStep(p, p, fr.g.gsock, fr.m, &fr.in) {
-				return false
-			}
-			fr.m = nil
-			fr.pc = recvMcastLoop // our own queue now holds the datagram
 		case recvDone:
 			return true
 		}

@@ -105,10 +105,24 @@ type Plan struct {
 	Segments []Segment `json:"segments"`
 }
 
+// MaxDelayUs bounds every delay a plan sets (delay_us, jitter_us,
+// down_us, up_us): one simulated hour. The largest in use is a 200 ms
+// flap period; the bound keeps a user's plan from overflowing the engine
+// clock or the jitter draw.
+const MaxDelayUs = 3600 * sim.Second
+
 // probability validates one [0,1] parameter.
 func probability(kind, name string, v float64) error {
 	if v < 0 || v > 1 {
 		return fmt.Errorf("fault: %s segment: %s = %v outside [0, 1]", kind, name, v)
+	}
+	return nil
+}
+
+// delay validates one delay parameter of segment i: in (0, MaxDelayUs].
+func delay(kind string, i int, name string, v int64) error {
+	if v <= 0 || v > MaxDelayUs {
+		return fmt.Errorf("fault: %s segment %d: %s = %d outside (0, %d]", kind, i, name, v, MaxDelayUs)
 	}
 	return nil
 }
@@ -142,20 +156,23 @@ func (p *Plan) Validate() error {
 			if err := probability(s.Kind, "rate", s.Rate); err != nil {
 				return err
 			}
-			if s.DelayUs <= 0 {
-				return fmt.Errorf("fault: %s segment %d: delay_us must be positive", s.Kind, i)
+			if err := delay(s.Kind, i, "delay_us", s.DelayUs); err != nil {
+				return err
 			}
 		case KindCorrupt:
 			if err := probability(s.Kind, "rate", s.Rate); err != nil {
 				return err
 			}
 		case KindJitter:
-			if s.JitterUs <= 0 {
-				return fmt.Errorf("fault: jitter segment %d: jitter_us must be positive", i)
+			if err := delay(s.Kind, i, "jitter_us", s.JitterUs); err != nil {
+				return err
 			}
 		case KindFlap:
-			if s.DownUs <= 0 || s.UpUs <= 0 {
-				return fmt.Errorf("fault: flap segment %d: down_us and up_us must be positive", i)
+			if err := delay(s.Kind, i, "down_us", s.DownUs); err != nil {
+				return err
+			}
+			if err := delay(s.Kind, i, "up_us", s.UpUs); err != nil {
+				return err
 			}
 		default:
 			return fmt.Errorf("fault: segment %d: unknown kind %q", i, s.Kind)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -274,6 +275,11 @@ func TestPlanValidation(t *testing.T) {
 		"no jitter":      {Segments: []Segment{{Kind: KindJitter}}},
 		"no flap period": {Segments: []Segment{{Kind: KindFlap, DownUs: 10}}},
 		"bad ge prob":    {Segments: []Segment{{Kind: KindGilbertElliott, PGoodBad: 2}}},
+		"huge jitter":    {Segments: []Segment{{Kind: KindJitter, JitterUs: math.MaxInt64}}},
+		"huge reorder":   {Segments: []Segment{{Kind: KindReorder, Rate: 0.5, DelayUs: math.MaxInt64}}},
+		"huge dup gap":   {Segments: []Segment{{Kind: KindDuplicate, Rate: 0.5, DelayUs: MaxDelayUs + 1}}},
+		"huge flap down": {Segments: []Segment{{Kind: KindFlap, DownUs: MaxDelayUs + 1, UpUs: 10}}},
+		"huge flap up":   {Segments: []Segment{{Kind: KindFlap, DownUs: 10, UpUs: MaxDelayUs + 1}}},
 	} {
 		if err := plan.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, plan)
@@ -282,9 +288,15 @@ func TestPlanValidation(t *testing.T) {
 			t.Errorf("%s: New accepted %+v", name, plan)
 		}
 	}
-	good := GilbertElliottPlan(1, 0.1, 8)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("builder plan rejected: %v", err)
+	for _, good := range []Plan{
+		GilbertElliottPlan(1, 0.1, 8),
+		JitterPlan(1, MaxDelayUs),
+		ReorderPlan(1, 0.5, MaxDelayUs),
+		FlapPlan(1, MaxDelayUs, MaxDelayUs),
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("plan %+v rejected: %v", good, err)
+		}
 	}
 }
 

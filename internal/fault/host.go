@@ -6,7 +6,6 @@ import (
 	"lrp/internal/mbuf"
 	"lrp/internal/nic"
 	"lrp/internal/sim"
-	"lrp/internal/trace"
 )
 
 // RingFault drops each packet arriving at the adaptor with probability
@@ -90,10 +89,6 @@ type HostFaults struct {
 	// pressure effects in the pool's failure counter.
 	SpuriousRaised uint64
 
-	// Trace, when non-nil, receives KindFault events on pressure and
-	// interrupt-burst edges — never per packet.
-	Trace *trace.Log
-
 	eng  *sim.Engine
 	n    *nic.NIC
 	ring []ringStage
@@ -138,9 +133,6 @@ func InstallNIC(eng *sim.Engine, n *nic.NIC, pool *mbuf.Pool, plan NICPlan) (*Ho
 				return
 			}
 			h.SpuriousRaised++
-			if h.Trace != nil {
-				h.Trace.Add(trace.KindFault, "spurious interrupt") //lrp:coldalloc vararg boxing; only reached with tracing enabled
-			}
 			n.RaiseIntr()
 			eng.After(f.PeriodUs, fire)
 		}
@@ -148,19 +140,9 @@ func InstallNIC(eng *sim.Engine, n *nic.NIC, pool *mbuf.Pool, plan NICPlan) (*Ho
 	}
 	for i := range plan.PoolPressure {
 		f := plan.PoolPressure[i]
-		at(f.Start, func() {
-			pool.SetPressure(f.Amount)
-			if h.Trace != nil {
-				h.Trace.Add(trace.KindFault, "pool pressure on: %d withheld", f.Amount) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-			}
-		})
+		at(f.Start, func() { pool.SetPressure(f.Amount) })
 		if f.End != 0 {
-			at(f.End, func() {
-				pool.SetPressure(0)
-				if h.Trace != nil {
-					h.Trace.Add(trace.KindFault, "pool pressure off") //lrp:coldalloc vararg boxing; only reached with tracing enabled
-				}
-			})
+			at(f.End, func() { pool.SetPressure(0) })
 		}
 	}
 	return h, nil

@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"lrp/internal/sim"
-	"lrp/internal/trace"
-)
+import "lrp/internal/sim"
 
 // Verdict is the pipeline's decision for one packet delivery. It is a
 // plain value so the per-packet hot path allocates nothing.
@@ -50,13 +47,11 @@ type Stats struct {
 }
 
 // stage is one compiled segment: its parameters plus a private rng
-// stream and any running state (the Gilbert–Elliott chain position, the
-// last observed flap phase for edge tracing).
+// stream and the Gilbert–Elliott chain position.
 type stage struct {
-	seg  Segment
-	rng  *sim.Rand
-	bad  bool // Gilbert–Elliott: currently in the bad state
-	down bool // flap: last observed link state was down
+	seg Segment
+	rng *sim.Rand
+	bad bool // Gilbert–Elliott: currently in the bad state
 }
 
 // Pipeline is a compiled Plan: an ordered list of live impairment
@@ -67,11 +62,6 @@ type stage struct {
 type Pipeline struct {
 	stages []stage
 	stats  Stats
-
-	// Trace, when non-nil, receives KindFault events on rare edges
-	// (Gilbert–Elliott state changes, link flap transitions) — never
-	// per packet.
-	Trace *trace.Log
 }
 
 // New compiles a plan into a live pipeline. Each segment gets an
@@ -131,15 +121,9 @@ func (p *Pipeline) Apply(now sim.Time) Verdict {
 			if st.bad {
 				if t < st.seg.PBadGood {
 					st.bad = false
-					if p.Trace != nil {
-						p.Trace.Add(trace.KindFault, "ge-loss: burst end") //lrp:coldalloc vararg boxing; only reached with tracing enabled
-					}
 				}
 			} else if t < st.seg.PGoodBad {
 				st.bad = true
-				if p.Trace != nil {
-					p.Trace.Add(trace.KindFault, "ge-loss: burst start") //lrp:coldalloc vararg boxing; only reached with tracing enabled
-				}
 			}
 			loss := st.seg.GoodLoss
 			if st.bad {
@@ -175,18 +159,7 @@ func (p *Pipeline) Apply(now sim.Time) Verdict {
 			// Pure clock arithmetic, no draws: position within the
 			// down/up cycle decides the link state.
 			phase := int64(now-st.seg.Start) % (st.seg.DownUs + st.seg.UpUs)
-			down := phase < st.seg.DownUs
-			if down != st.down {
-				st.down = down
-				if p.Trace != nil {
-					if down {
-						p.Trace.Add(trace.KindFault, "flap: link down") //lrp:coldalloc vararg boxing; only reached with tracing enabled
-					} else {
-						p.Trace.Add(trace.KindFault, "flap: link up") //lrp:coldalloc vararg boxing; only reached with tracing enabled
-					}
-				}
-			}
-			if down {
+			if phase < st.seg.DownUs {
 				v.Drop = true
 				p.stats.FlapDrops++
 			}

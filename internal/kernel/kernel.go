@@ -587,9 +587,7 @@ func (k *Kernel) openItemBurst(b band) {
 //lrp:hotpath
 func (k *Kernel) openProcBurst(p *Proc) {
 	if k.lastOnCPU != p {
-		if k.Trace != nil {
-			k.Trace.Add(trace.KindDispatch, "%s: %s takes CPU (prio %d)", k.Name, p.Name, p.Prio()) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-		}
+		k.Trace.Add(trace.Record{Kind: trace.KindDispatch, Node: k.Name, Proc: p.Name, N: p.Prio()})
 		if k.lastOnCPU != nil {
 			k.stats.CtxSwitches++
 			p.CtxSwitches++
@@ -625,12 +623,10 @@ func (k *Kernel) onBurstDone() {
 	switch was {
 	case bandHW, bandSW:
 		item, _ := k.intrQ(was).Dequeue()
-		if k.Trace != nil {
-			if was == bandHW {
-				k.Trace.Add(trace.KindIntr, "%s: hw work done", k.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-			} else {
-				k.Trace.Add(trace.KindSoftIntr, "%s: sw work done", k.Name) //lrp:coldalloc vararg boxing; only reached with tracing enabled
-			}
+		if was == bandHW {
+			k.Trace.Add(trace.Record{Kind: trace.KindIntr, Node: k.Name})
+		} else {
+			k.Trace.Add(trace.Record{Kind: trace.KindSoftIntr, Node: k.Name})
 		}
 		if item.Fn != nil {
 			item.Fn()

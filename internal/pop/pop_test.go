@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"lrp/internal/app"
 	"lrp/internal/core"
 	"lrp/internal/netsim"
 	"lrp/internal/pkt"
@@ -169,38 +168,5 @@ func TestClientIdentitiesSpanPopulation(t *testing.T) {
 	// majority are distinct.
 	if len(distinct) < len(trace)*9/10 {
 		t.Fatalf("%d sends map to only %d distinct client addresses", len(trace), len(distinct))
-	}
-}
-
-func TestSessionChurnCompletesOverChain(t *testing.T) {
-	// Real TCP sessions from the edge must cross the forwarding chain in
-	// both directions (SYN out, SYN-ACK back, data, FINs).
-	eng := sim.NewEngine()
-	nw := netsim.New(eng)
-	spec := topo.Spec{
-		Eng: eng,
-		Net: nw,
-		Make: func(name string, addr pkt.Addr) *core.Host {
-			return core.NewHost(eng, nw, core.Config{Name: name, Addr: addr, Arch: core.ArchSoftLRP})
-		},
-	}
-	tp := topo.Chain(spec, 2)
-	defer tp.Shutdown()
-	srv := &app.HTTPServer{Host: tp.Server, Port: 80}
-	srv.Start()
-	churn := &SessionChurn{
-		Host:       tp.Edges[0],
-		ServerAddr: tp.Server.Addr,
-		ServerPort: 80,
-		Seed:       9,
-	}
-	churn.Start()
-	eng.RunFor(3 * sim.Second)
-	if churn.Completed.Total() == 0 {
-		t.Fatalf("no TCP sessions completed across the chain (failures=%d, served=%d)",
-			churn.Failures.Total(), srv.Served.Total())
-	}
-	if tp.Gateways[0].ForwardStats().Forwarded == 0 || tp.Gateways[1].ForwardStats().Forwarded == 0 {
-		t.Fatal("TCP traffic bypassed the chain gateways")
 	}
 }

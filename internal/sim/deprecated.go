@@ -1,18 +1,18 @@
 package sim
 
-// Deprecated scheduling names that forward to At and After. The benchmark
-// module's sim.lane_post_fire_ns and sim.post_batch8_ns rows still call
-// them; nothing else may.
+// Deprecated scheduling names that forward to At. The benchmark module's
+// sim.lane_post_fire_ns and sim.post_batch8_ns rows still call them;
+// nothing else may.
 
 // Lane is a handle that schedules on its engine.
 //
-// Deprecated: call Engine.At or Engine.After. Only the benchmark module's
+// Deprecated: call Engine.At. Only the benchmark module's
 // sim.lane_post_fire_ns row still uses Lane.
 type Lane struct{ eng *Engine }
 
 // NewLane returns a Lane bound to e.
 //
-// Deprecated: call Engine.At or Engine.After. Only the benchmark module's
+// Deprecated: call Engine.At. Only the benchmark module's
 // sim.lane_post_fire_ns row still uses NewLane.
 func (e *Engine) NewLane() *Lane { return &Lane{eng: e} }
 
@@ -21,11 +21,6 @@ func (e *Engine) NewLane() *Lane { return &Lane{eng: e} }
 // Deprecated: call Engine.At. Only the benchmark module's
 // sim.lane_post_fire_ns row still uses Lane.Post.
 func (l *Lane) Post(t Time, fn func()) Event { return l.eng.At(t, fn) }
-
-// PostAfter is Engine.After on the lane's engine.
-//
-// Deprecated: call Engine.After. No benchmark row uses it.
-func (l *Lane) PostAfter(d int64, fn func()) Event { return l.eng.After(d, fn) }
 
 // Post is one entry of a PostBatch call.
 //

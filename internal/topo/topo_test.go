@@ -3,6 +3,7 @@ package topo
 import (
 	"testing"
 
+	"lrp/internal/app"
 	"lrp/internal/core"
 	"lrp/internal/fault"
 	"lrp/internal/kernel"
@@ -261,5 +262,25 @@ func TestEagerGatewaysPayTheSameForwardingPrice(t *testing.T) {
 				t.Errorf("gateway software-interrupt time %d µs for %d packets, want %d µs each", sw, n, want)
 			}
 		})
+	}
+}
+
+func TestHTTPSessionsCompleteOverChain(t *testing.T) {
+	// Real TCP sessions from the edge must cross the forwarding chain in
+	// both directions (SYN out, SYN-ACK back, data, FINs).
+	spec, eng := testSpec(core.ArchSoftLRP)
+	tp := Chain(spec, 2)
+	defer tp.Shutdown()
+	srv := &app.HTTPServer{Host: tp.Server, Port: 80}
+	srv.Start()
+	c := &app.HTTPClient{Host: tp.Edges[0], ServerAddr: tp.Server.Addr, ServerPort: 80, Name: "client"}
+	c.Start()
+	eng.RunFor(3 * sim.Second)
+	if c.Completed.Total() == 0 {
+		t.Fatalf("no TCP sessions completed across the chain (failures=%d, served=%d)",
+			c.Failures.Total(), srv.Served.Total())
+	}
+	if tp.Gateways[0].ForwardStats().Forwarded == 0 || tp.Gateways[1].ForwardStats().Forwarded == 0 {
+		t.Fatal("TCP traffic bypassed the chain gateways")
 	}
 }

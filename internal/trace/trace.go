@@ -1,9 +1,12 @@
 // Package trace provides a lightweight, bounded event log for the
-// simulation: kernels and hosts append timestamped events (dispatches,
+// simulation: kernels and hosts append timestamped records (dispatches,
 // interrupts, demux verdicts, queue drops) and tools dump them for
-// debugging. Tracing is off unless a Log is attached, and appending to a
-// nil Log is a no-op, so instrumented code paths cost nothing in normal
-// runs.
+// debugging. A record is a fixed-size value built from constants and
+// fields the trace site already holds, so appending one formats and
+// allocates nothing; text is made only by Record.String and Log.Dump.
+// Tracing is off unless a Log is attached, and appending to a nil Log
+// costs the record built on the stack and one nil check, so instrumented
+// code paths need no guard.
 package trace
 
 import (
@@ -11,24 +14,21 @@ import (
 	"strings"
 )
 
-// Kind classifies an event.
+// Kind classifies a record.
 type Kind uint8
 
-// Event kinds.
+// Record kinds.
 const (
 	KindDispatch Kind = iota // scheduler gave a process the CPU
 	KindIntr                 // hardware interrupt work ran
 	KindSoftIntr             // software interrupt work ran
 	KindDemux                // a packet was classified
-	KindDrop                 // a packet was dropped (detail says where)
-	KindDeliver              // a message reached a socket queue
-	KindProto                // protocol event (TCP state change etc.)
-	KindUser                 // application-defined
-	KindFault                // fault injection fired (detail says which impairment)
+	KindDrop                 // a packet was dropped (What says where)
+	KindDeliver              // a datagram reached a socket queue
 )
 
 var kindNames = [...]string{
-	"dispatch", "intr", "softintr", "demux", "drop", "deliver", "proto", "user", "fault",
+	"dispatch", "intr", "softintr", "demux", "drop", "deliver",
 }
 
 func (k Kind) String() string {
@@ -38,106 +38,114 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Event is one log entry.
-type Event struct {
-	At     int64 // simulated µs
-	Kind   Kind
-	Detail string
+// Record is one log entry. Which fields a kind uses is fixed by String.
+type Record struct {
+	At   int64 // simulated µs, stamped by Add
+	Kind Kind
+	Port uint16 // local port of the socket concerned; 0 when none
+	Node string // host or CPU name
+	Proc string // the process given the CPU (KindDispatch)
+	What string // a constant detail: the demux verdict, or where the drop happened
+	N    int    // priority (KindDispatch) or bytes (KindDeliver)
 }
 
-func (e Event) String() string {
-	return fmt.Sprintf("%10dµs %-8s %s", e.At, e.Kind, e.Detail)
+func (r Record) String() string {
+	var d string
+	switch r.Kind {
+	case KindDispatch:
+		d = fmt.Sprintf("%s takes CPU (prio %d)", r.Proc, r.N)
+	case KindIntr:
+		d = "hw work done"
+	case KindSoftIntr:
+		d = "sw work done"
+	case KindDemux:
+		d = "verdict=" + r.What
+	case KindDrop:
+		d = r.What
+		if r.Port != 0 {
+			d += fmt.Sprintf(" port %d", r.Port)
+		}
+	case KindDeliver:
+		d = fmt.Sprintf("udp %d bytes -> port %d", r.N, r.Port)
+	}
+	return fmt.Sprintf("%10dµs %-8s %s: %s", r.At, r.Kind, r.Node, d)
 }
 
-// Log is a bounded ring of events. The zero value is unusable; use New.
-// A nil *Log accepts (and discards) events, so callers never need to
+// Log is a bounded ring of records. The zero value is unusable; use New.
+// A nil *Log accepts (and discards) records, so callers never need to
 // check for enablement.
 type Log struct {
-	now     func() int64
-	events  []Event
-	next    int
-	wrapped bool
-	dropped uint64
-	filter  func(Kind) bool
+	now  func() int64
+	recs []Record // the ring, allocated whole by New
+	n    uint64   // records ever added
 }
 
-// New creates a log holding up to capacity events (older events are
+// New creates a log holding up to capacity records (older records are
 // overwritten). now supplies timestamps — typically sim.Engine.Now.
 func New(capacity int, now func() int64) *Log {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Log{now: now, events: make([]Event, 0, capacity)}
+	return &Log{now: now, recs: make([]Record, capacity)}
 }
 
-// SetFilter restricts recording to kinds where keep returns true.
-func (l *Log) SetFilter(keep func(Kind) bool) {
+// Add stamps r with the current time and stores it, overwriting the
+// oldest record once the ring is full. Safe on a nil log, and small
+// enough to inline, so an untraced call site makes no call.
+func (l *Log) Add(r Record) {
 	if l != nil {
-		l.filter = keep
+		l.add(r)
 	}
 }
 
-// Add records an event. Safe on a nil log.
-func (l *Log) Add(k Kind, format string, args ...any) {
-	if l == nil {
-		return
-	}
-	if l.filter != nil && !l.filter(k) {
-		return
-	}
-	e := Event{At: l.now(), Kind: k, Detail: fmt.Sprintf(format, args...)}
-	if len(l.events) < cap(l.events) {
-		l.events = append(l.events, e) //lrp:nolint hotalloc -- guarded by len < cap: appends into preallocated capacity, never grows
-		return
-	}
-	// Ring: overwrite oldest.
-	l.events[l.next] = e
-	l.next = (l.next + 1) % cap(l.events)
-	l.wrapped = true
-	l.dropped++
+// add is kept out of line so that Add stays within the inlining budget.
+//
+//go:noinline
+func (l *Log) add(r Record) {
+	r.At = l.now()
+	l.recs[l.n%uint64(len(l.recs))] = r
+	l.n++
 }
 
-// Len returns the number of retained events.
+// Len returns the number of retained records.
 func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.events)
+	return int(min(l.n, uint64(len(l.recs))))
 }
 
-// Overwritten returns how many events were lost to the ring bound.
+// Overwritten returns how many records were lost to the ring bound.
 func (l *Log) Overwritten() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.dropped
+	return l.n - uint64(l.Len())
 }
 
-// Events returns retained events in chronological order.
-func (l *Log) Events() []Event {
+// Records returns the retained records in chronological order.
+func (l *Log) Records() []Record {
 	if l == nil {
 		return nil
 	}
-	if !l.wrapped {
-		return append([]Event(nil), l.events...)
+	if l.n <= uint64(len(l.recs)) {
+		return append([]Record(nil), l.recs[:l.n]...)
 	}
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.next:]...)
-	out = append(out, l.events[:l.next]...)
-	return out
+	i := l.n % uint64(len(l.recs))
+	return append(append(make([]Record, 0, len(l.recs)), l.recs[i:]...), l.recs[:i]...)
 }
 
-// Dump renders the retained events, one per line.
+// Dump renders the retained records, one per line.
 func (l *Log) Dump() string {
 	if l == nil {
 		return ""
 	}
 	var b strings.Builder
-	if l.dropped > 0 {
-		fmt.Fprintf(&b, "(%d earlier events overwritten)\n", l.dropped)
+	if o := l.Overwritten(); o > 0 {
+		fmt.Fprintf(&b, "(%d earlier events overwritten)\n", o)
 	}
-	for _, e := range l.Events() {
-		b.WriteString(e.String())
+	for _, r := range l.Records() {
+		b.WriteString(r.String())
 		b.WriteByte('\n')
 	}
 	return b.String()
